@@ -9,7 +9,7 @@
  * bound on the log bytes executing the run once can append to the
  * open checkpoint segment; per-uop tail bounds (bytes from a given
  * index through the end of its run) let a consumer positioned
- * mid-run -- e.g. System::stepSuperblock resuming after a capacity
+ * mid-run -- e.g. System::commitBatch resuming after a capacity
  * cut -- admit the rest of the run against the open segment's
  * headroom in one check.
  *

@@ -14,7 +14,7 @@
  *    always-overlapping-access diagnostics, and
  *  - the `isa_lint --memdep` JSONL export, which pairs the oracle's
  *    pair census with the per-run effect summaries (effects.hh)
- *    consumed by System::stepSuperblock and trace_report --memdep.
+ *    consumed by System::commitBatch and trace_report --memdep.
  */
 
 #ifndef PARADOX_ANALYSIS_MEMDEP_HH

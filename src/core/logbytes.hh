@@ -5,7 +5,7 @@
  * Three consumers must agree byte-for-byte on how much log space a
  * memory access can take: the exact peeked capacity cut in
  * System::stepInstruction (bytesNeeded), the superblock admission
- * gate in System::stepSuperblock, and the static effect summaries
+ * gate in System::commitBatch, and the static effect summaries
  * (analysis/effects.hh) whose per-run bounds the gate consumes.  The
  * worst-case math lives in analysis::storeLogBound / uopLogBound
  * (the analysis library cannot see core headers); this header maps a

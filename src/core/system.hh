@@ -389,8 +389,11 @@ class System
             lastProgressTick_ = when;
     }
 
-    /** Apply main-core fault injection after a committed record. */
-    void maybeMainCoreFault(const isa::CommitRecord &r);
+    /**
+     * Apply main-core fault injection after a committed record.
+     * @return true if any fault fired (the state may be corrupted).
+     */
+    bool maybeMainCoreFault(const isa::CommitRecord &r);
 
     /** @{ Resolve possibly-shared checker resources. */
     CheckerScheduler *sched() { return schedPtr_; }
@@ -401,21 +404,44 @@ class System
     /** Shared ctor body. */
     void init(SharedUncore *uncore);
 
-    /** One Running-phase instruction; updates phase_. */
+    /**
+     * One Running-phase step: the instruction-boundary work (limits,
+     * watchdog, check retirement, segment open and target cut), then
+     * one batch of commits -- a superblock through the decoded image
+     * when batching is allowed, otherwise a batch of one.  Updates
+     * phase_.
+     */
     void stepInstruction();
 
     /**
-     * Batched Running-phase commit: run a superblock of decoded
-     * micro-ops through the commit pipeline in one runDecoded() pass,
-     * without the per-instruction engine round trip.  Only entered
-     * when the batch is provably equivalent to single-stepping (no
-     * main-core fault plan that could corrupt the carried pc, no
-     * pending detection whose firing tick could land mid-batch); a
-     * load/store without guaranteed log headroom stops the batch so
-     * the exact peeked capacity cut runs in stepInstruction().
-     * @return false if nothing committed (caller must single-step).
+     * Run a superblock of decoded micro-ops through commit() in one
+     * runDecoded() pass.  A load/store without guaranteed log
+     * headroom stops the batch so the exact peeked capacity cut runs
+     * in stepInstruction().
+     * @return false if the gate refused the first micro-op (caller
+     *         must take the exact batch-of-one path).
      */
-    bool stepSuperblock();
+    bool commitBatch();
+
+    /**
+     * The per-record commit pipeline, shared by every engine and
+     * batch size: log, count, ECC, main-core faults, translation and
+     * timing, MMIO drain, detections, halt.
+     * @return true iff the next instruction may commit in the same
+     *         batch: no phase change happened (segment closed,
+     *         rollback, drain, halt, injected fault, tick limit, due
+     *         watchdog) and the next instruction's boundary work is
+     *         at most retiring verified checks, which is done here.
+     *         The count limits and the AIMD target bound a batch up
+     *         front.
+     */
+    bool commit(const isa::CommitRecord &r);
+
+    /** A fetch left the image (nothing executed): cut and drain. */
+    void wildFetch();
+
+    /** True when the progress watchdog must escalate at @p now. */
+    bool watchdogDue(Tick now) const;
 
     /** Shared halt handling once HALT has committed; updates phase_. */
     void noteHaltCommitted();
@@ -522,7 +548,7 @@ class System
     /**
      * Sum of the static worst-case log-byte bounds the segment's
      * accesses were admitted under (superblock gate: effect-summary
-     * run/uop bounds; single-step path: the exact peeked bytes).
+     * run/uop bounds; batch of one: the exact peeked bytes).
      * Always >= filling_->bytesUsed(); emitted per segment as the
      * "seg-bound-bytes" instant for trace_report --memdep.
      */
