@@ -36,25 +36,6 @@ satMul(std::uint64_t a, std::uint64_t b)
 
 } // namespace
 
-unsigned
-CostModel::classLatency(const CostParams &p, isa::InstClass cls)
-{
-    using isa::InstClass;
-    switch (cls) {
-    case InstClass::IntAlu: return p.intAluLat;
-    case InstClass::IntMult: return p.intMultLat;
-    case InstClass::IntDiv: return p.intDivLat;
-    case InstClass::FpAlu: return p.fpAluLat;
-    case InstClass::FpMult: return p.fpMultLat;
-    case InstClass::FpDiv: return p.fpDivLat;
-    case InstClass::Load:
-    case InstClass::Store: return p.logAccessLat;
-    case InstClass::Branch:
-    case InstClass::Jump: return p.intAluLat + p.branchExtraLat;
-    default: return p.intAluLat;
-    }
-}
-
 WorkloadCost
 CostModel::compute(const isa::Program &prog, const CostParams &params)
 {
@@ -122,7 +103,7 @@ CostModel::compute(const isa::Program &prog, const CostParams &params)
         weightedCycles = satAdd(
             weightedCycles,
             satMul(c.mix[k],
-                   classLatency(params, isa::InstClass(k))));
+                   isa::checkerExecCycles(isa::InstClass(k))));
     }
     if (c.mixTotal)
         c.cyclesPerInst = double(weightedCycles) / double(c.mixTotal);

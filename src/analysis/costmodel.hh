@@ -6,10 +6,8 @@
  * instruction mix to predict, per workload: how many instructions a
  * complete run commits (min/max), how many checkpoint segments that
  * makes at a given segment length, and how many checker-core cycles
- * verifying those segments costs.  The latency table mirrors
- * cpu::CheckerParams (src/cpu/checker_timing.hh) but is duplicated
- * here because the analysis library deliberately links only
- * paradox_isa.
+ * verifying those segments costs, at the per-class checker latencies
+ * (isa::checkerExecCycles) that cpu::CheckerTiming also charges.
  *
  * min/maxDynInsts are *sound bounds*, cross-validated against
  * paradox-trace/1 seg-insts events by `trace_report --cost`; the
@@ -32,18 +30,9 @@ namespace paradox
 namespace analysis
 {
 
-/** Latencies (checker cycles) and model knobs. */
+/** Model knobs. */
 struct CostParams
 {
-    unsigned intAluLat = 1;
-    unsigned intMultLat = 4;
-    unsigned intDivLat = 24;
-    unsigned fpAluLat = 2;
-    unsigned fpMultLat = 3;
-    unsigned fpDivLat = 32;
-    unsigned logAccessLat = 1;
-    unsigned branchExtraLat = 2;
-
     /** Checkpoint-segment length (insts); AIMD initial by default. */
     std::uint64_t segmentLength = 1000;
 
@@ -110,10 +99,6 @@ class CostModel
   public:
     static WorkloadCost compute(const isa::Program &prog,
                                 const CostParams &params = {});
-
-    /** Checker cycles one instruction of @p cls costs. */
-    static unsigned classLatency(const CostParams &params,
-                                 isa::InstClass cls);
 };
 
 /** paradox-cost/1 JSONL header line (flat, obs::jsonField-parsable). */

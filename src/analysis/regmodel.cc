@@ -1,7 +1,5 @@
 #include "analysis/regmodel.hh"
 
-#include "sim/logging.hh"
-
 namespace paradox
 {
 namespace analysis
@@ -15,151 +13,16 @@ slotName(unsigned slot)
     return "f" + std::to_string(slot - isa::numIntRegs);
 }
 
-namespace
-{
-
-void
-addUse(UseDef &ud, unsigned slot)
-{
-    ud.uses[ud.nUses++] = std::uint8_t(slot);
-}
-
-void
-setIntDef(UseDef &ud, unsigned rd)
-{
-    if (rd != 0)  // x0 writes are discarded, never a def
-        ud.def = int(xslot(rd));
-}
-
-} // namespace
-
 UseDef
 useDef(const isa::Instruction &inst)
 {
-    using isa::Opcode;
     UseDef ud;
-    const unsigned rd = inst.rd, rs1 = inst.rs1, rs2 = inst.rs2;
-
-    switch (inst.op) {
-      // Integer register-register.
-      case Opcode::ADD: case Opcode::SUB: case Opcode::AND_:
-      case Opcode::OR_: case Opcode::XOR_: case Opcode::SLL:
-      case Opcode::SRL: case Opcode::SRA: case Opcode::SLT:
-      case Opcode::SLTU: case Opcode::MUL: case Opcode::MULH:
-      case Opcode::DIV: case Opcode::DIVU: case Opcode::REM:
-      case Opcode::REMU:
-        addUse(ud, xslot(rs1));
-        addUse(ud, xslot(rs2));
-        setIntDef(ud, rd);
-        break;
-
-      // Integer register-immediate.
-      case Opcode::ADDI: case Opcode::ANDI: case Opcode::ORI:
-      case Opcode::XORI: case Opcode::SLLI: case Opcode::SRLI:
-      case Opcode::SRAI: case Opcode::SLTI:
-        addUse(ud, xslot(rs1));
-        setIntDef(ud, rd);
-        break;
-
-      case Opcode::LDI:
-        setIntDef(ud, rd);
-        break;
-
-      // Loads: base register, integer or FP destination.
-      case Opcode::LB: case Opcode::LBU: case Opcode::LH:
-      case Opcode::LHU: case Opcode::LW: case Opcode::LWU:
-      case Opcode::LD:
-        addUse(ud, xslot(rs1));
-        setIntDef(ud, rd);
-        break;
-      case Opcode::FLD:
-        addUse(ud, xslot(rs1));
-        ud.def = int(fslot(rd));
-        break;
-
-      // Stores: base in rs1, source in rs2.
-      case Opcode::SB: case Opcode::SH: case Opcode::SW:
-      case Opcode::SD:
-        addUse(ud, xslot(rs1));
-        addUse(ud, xslot(rs2));
-        break;
-      case Opcode::FSD:
-        addUse(ud, xslot(rs1));
-        addUse(ud, fslot(rs2));
-        break;
-
-      // Branches compare two integer registers.
-      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
-      case Opcode::BGE: case Opcode::BLTU: case Opcode::BGEU:
-        addUse(ud, xslot(rs1));
-        addUse(ud, xslot(rs2));
-        break;
-
-      case Opcode::JAL:
-        setIntDef(ud, rd);
-        break;
-      case Opcode::JALR:
-        addUse(ud, xslot(rs1));
-        setIntDef(ud, rd);
-        break;
-
-      // FP two-source arithmetic.
-      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
-      case Opcode::FDIV: case Opcode::FMIN: case Opcode::FMAX:
-        addUse(ud, fslot(rs1));
-        addUse(ud, fslot(rs2));
-        ud.def = int(fslot(rd));
-        break;
-
-      // FP single-source arithmetic.
-      case Opcode::FSQRT: case Opcode::FNEG: case Opcode::FABS:
-        addUse(ud, fslot(rs1));
-        ud.def = int(fslot(rd));
-        break;
-
-      // rd <- rs1 * rs2 + rd: the destination doubles as a source.
-      case Opcode::FMADD:
-        addUse(ud, fslot(rs1));
-        addUse(ud, fslot(rs2));
-        addUse(ud, fslot(rd));
-        ud.def = int(fslot(rd));
-        break;
-
-      case Opcode::FCVT_D_L:
-        addUse(ud, xslot(rs1));
-        ud.def = int(fslot(rd));
-        break;
-      case Opcode::FCVT_L_D:
-        addUse(ud, fslot(rs1));
-        setIntDef(ud, rd);
-        break;
-      case Opcode::FMV_X_D:
-        addUse(ud, fslot(rs1));
-        setIntDef(ud, rd);
-        break;
-      case Opcode::FMV_D_X:
-        addUse(ud, xslot(rs1));
-        ud.def = int(fslot(rd));
-        break;
-
-      // FP compares write an integer register.
-      case Opcode::FEQ: case Opcode::FLT_: case Opcode::FLE:
-        addUse(ud, fslot(rs1));
-        addUse(ud, fslot(rs2));
-        setIntDef(ud, rd);
-        break;
-
-      case Opcode::NOP:
-      case Opcode::HALT:
-        break;
-      case Opcode::SYSCALL:
-        addUse(ud, xslot(rs1));
-        setIntDef(ud, rd);
-        break;
-
-      default:
-        panic("useDef: unhandled opcode");
-    }
+    for (const isa::RegOperand &src : inst.sources())
+        if (src.file != isa::Operand::None)
+            ud.uses[ud.nUses++] = std::uint8_t(regSlot(src));
+    const isa::RegOperand dst = inst.dest();
+    if (dst.file != isa::Operand::None && regSlot(dst) != 0)
+        ud.def = int(regSlot(dst));  // x0 writes are discarded
     return ud;
 }
 

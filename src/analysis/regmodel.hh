@@ -31,6 +31,10 @@ constexpr unsigned xslot(unsigned r) { return r; }
 /** Slot of FP register @p r. */
 constexpr unsigned fslot(unsigned r) { return isa::numIntRegs + r; }
 
+/** Slot of register operand @p r. */
+constexpr unsigned regSlot(isa::RegOperand r)
+{ return r.file == isa::Operand::Fp ? fslot(r.idx) : xslot(r.idx); }
+
 /** Bit for slot @p s in a register-set mask. */
 constexpr std::uint64_t slotBit(unsigned s)
 { return std::uint64_t(1) << s; }
@@ -39,8 +43,9 @@ constexpr std::uint64_t slotBit(unsigned s)
 std::string slotName(unsigned slot);
 
 /**
- * The registers one instruction reads and writes.  @c def is -1 for
- * instructions with no register destination and for writes to x0.
+ * The registers one instruction reads (its opcode row's source roles,
+ * in field order) and writes.  @c def is -1 for instructions with no
+ * register destination and for writes to x0.
  */
 struct UseDef
 {

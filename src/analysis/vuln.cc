@@ -317,7 +317,8 @@ genUses(SlotMasks &live, const isa::Instruction &inst, std::uint64_t M,
         g(x1, smearDown(M));
         break;
 
-      default:
+      // No default: -Wswitch flags an opcode added without a case.
+      case Opcode::NumOpcodes:
         break;
     }
 }
@@ -544,9 +545,7 @@ VulnAnalysis::run(const isa::Program &prog, const Cfg &cfg,
                 for (unsigned j = 0; j < info.memSize; ++j)
                     clearBit(live, byteIndex(Addr(a) + j));
             } else if (info.isLoad) {
-                const unsigned slot = info.writesFpReg
-                                          ? fslot(inst.rd)
-                                          : xslot(inst.rd);
+                const unsigned slot = regSlot(inst.dest());
                 if (slot == 0 || va.liveOut_[i][slot] == 0)
                     continue;  // the loaded value goes nowhere
                 const std::int64_t a = constAddr(i);
@@ -674,16 +673,13 @@ VulnAnalysis::loadEntryVerdict(const isa::Instruction &inst,
     const unsigned width = unsigned(info.memSize) * 8;
     if (bit >= width)
         return SiteVerdict::Dead;  // executor re-extends low bytes
-    const unsigned slot =
-        info.writesFpReg ? fslot(inst.rd) : xslot(inst.rd);
+    const unsigned slot = regSlot(inst.dest());
     if (slot == 0)
         return SiteVerdict::Dead;  // load to x0: value discarded
     if (instIdx >= liveOut_.size())
         return SiteVerdict::Unknown;
-    const bool signExt = inst.op == isa::Opcode::LB ||
-                         inst.op == isa::Opcode::LH ||
-                         inst.op == isa::Opcode::LW;
-    const std::uint64_t influence = (signExt && bit == width - 1)
+    const std::uint64_t influence = (info.loadSignExtend &&
+                                     bit == width - 1)
                                         ? (allBits << bit)
                                         : (std::uint64_t(1) << bit);
     return (influence & liveOut_[instIdx][slot])

@@ -2,7 +2,6 @@
 
 #include "analysis/vuln.hh"
 #include "isa/decoded_run.hh"
-#include "isa/executor.hh"
 #include "obs/profiler.hh"
 
 namespace paradox
@@ -288,93 +287,75 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
     const unsigned count = segment.instCount();
     Cycles cycles = 0;
 
-    if (decoded && plan.empty()) {
-        // Fast path: the threaded-dispatch inner loop, devirtualized
-        // over the log-replay adapter.  Only taken with no injectors
-        // installed -- injectors may corrupt the pc between
-        // instructions, which the reference loop re-fetches but the
-        // decoded loop's carried indices would not observe.
-        isa::runDecoded(
-            *decoded, state, log, count,
-            [&](const isa::CommitRecord &r) -> bool {
-                if (!r.valid) {
-                    // Wild fetch: invalid checker behaviour, caught
-                    // by the hardware as an exception (figure 7).
-                    outcome.detected = true;
-                    outcome.reason = DetectReason::InvalidBehavior;
-                    return false;
-                }
-                cycles += timing.instCycles(
-                    checker_id, r.pc + timing_offset, *r.inst);
-                ++outcome.instructionsExecuted;
-                if (log.diverged()) {
-                    outcome.detected = true;
-                    outcome.reason = log.reason();
-                    return false;
-                }
-                if (r.halted &&
-                    outcome.instructionsExecuted != count) {
-                    outcome.detected = true;
-                    outcome.reason = DetectReason::InvalidBehavior;
-                    return false;
-                }
-                // The reference loop checks the watchdog before each
-                // fetch; mirror that between instructions.
-                if (outcome.instructionsExecuted != count &&
-                    cycles > watchdog) {
-                    outcome.detected = true;
-                    outcome.reason = DetectReason::Timeout;
-                    return false;
-                }
-                return true;
-            });
-    } else {
-    for (unsigned i = 0; i < count; ++i) {
-        if (cycles > watchdog) {
-            outcome.detected = true;
-            outcome.reason = DetectReason::Timeout;
-            break;
-        }
-        const isa::Instruction *inst = prog.fetch(state.pc());
-        if (!inst) {
-            // Wild fetch: invalid checker behaviour, caught by the
-            // hardware as an exception (paper figure 7).
-            outcome.detected = true;
-            outcome.reason = DetectReason::InvalidBehavior;
-            break;
-        }
-        cycles += timing.instCycles(checker_id,
-                                    state.pc() + timing_offset, *inst);
-
-        const std::size_t inst_idx =
-            std::size_t(state.pc() / isa::instBytes);
-        log.setContext(inst, inst_idx);
-        isa::ExecResult r = isa::step(prog, state, log);
-        ++outcome.instructionsExecuted;
-
-        if (log.diverged()) {
-            outcome.detected = true;
-            outcome.reason = log.reason();
-            break;
-        }
-        if (r.halted && i + 1 != count) {
-            outcome.detected = true;
-            outcome.reason = DetectReason::InvalidBehavior;
-            break;
-        }
-
-        // Architectural-state fault injection after the instruction.
-        if (!plan.empty())
-            outcome.faultsInjected += applyInstructionFaults(
-                plan, *inst, r, state,
-                [&outcome, vuln](const faults::FaultHit &hit) {
-                    noteWeakHit(hit, outcome);
-                    if (vuln)
-                        tallyVerdict(hit.verdict, outcome);
-                },
-                vuln, inst_idx);
+    // The threaded-dispatch inner loop, devirtualized over the
+    // log-replay adapter.  Injectors act between instructions, on the
+    // architectural state the loop reads; a corrupted pc is the one
+    // thing the loop does not re-read, so the sink stops the run and
+    // the loop re-enters it at the new pc.  The sink is compiled once
+    // per case so that fault-free replay carries none of this.
+    std::shared_ptr<const isa::DecodedProgram> owned;
+    if (!decoded) {
+        owned = isa::DecodedProgram::get(prog);
+        decoded = owned.get();
     }
-    }
+    const isa::DecodedProgram &dp = *decoded;
+    const auto replay = [&](auto injecting) {
+        constexpr bool inject = decltype(injecting)::value;
+        const auto sink = [&](const isa::CommitRecord &r) -> bool {
+            if (!r.valid) {
+                // Wild fetch: invalid checker behaviour, caught by
+                // the hardware as an exception (paper figure 7).
+                outcome.detected = true;
+                outcome.reason = DetectReason::InvalidBehavior;
+                return false;
+            }
+            cycles += timing.instCycles(
+                checker_id, r.pc + timing_offset, *r.inst);
+            ++outcome.instructionsExecuted;
+            if (log.diverged()) {
+                outcome.detected = true;
+                outcome.reason = log.reason();
+                return false;
+            }
+            if (r.halted && outcome.instructionsExecuted != count) {
+                outcome.detected = true;
+                outcome.reason = DetectReason::InvalidBehavior;
+                return false;
+            }
+            // Architectural-state fault injection after the
+            // instruction.
+            if constexpr (inject)
+                outcome.faultsInjected += applyInstructionFaults(
+                    plan, *r.inst, r, state,
+                    [&outcome, vuln](const faults::FaultHit &hit) {
+                        noteWeakHit(hit, outcome);
+                        if (vuln)
+                            tallyVerdict(hit.verdict, outcome);
+                    },
+                    vuln, std::size_t(r.pc / isa::instBytes));
+            // The watchdog is checked before each fetch.
+            if (outcome.instructionsExecuted != count &&
+                cycles > watchdog) {
+                outcome.detected = true;
+                outcome.reason = DetectReason::Timeout;
+                return false;
+            }
+            return !inject || state.pc() == r.nextPc;
+        };
+        const auto mem_gate = [&](std::uint64_t idx) {
+            if constexpr (inject)
+                log.setContext(dp.at(idx).inst, idx);
+            return true;
+        };
+        while (!outcome.detected && outcome.instructionsExecuted < count)
+            isa::runDecoded(dp, state, log,
+                            count - outcome.instructionsExecuted, sink,
+                            mem_gate);
+    };
+    if (plan.empty())
+        replay(std::false_type{});
+    else
+        replay(std::true_type{});
 
     if (!outcome.detected) {
         // End-of-segment checks: the entry stream must be exactly

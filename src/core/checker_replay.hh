@@ -106,11 +106,8 @@ struct ReplayOutcome
  *        instruction, I-cache-thrashing code at ~8) sit far below
  *        it, while corrupted wrong-path execution stuck in divide
  *        chains (32+ cycles per instruction) trips it.  0 disables.
- * @param decoded  optional pre-decoded image of @p prog.  When given
- *        and no fault injectors are active, the replay runs the
- *        threaded-dispatch inner loop (isa/decoded_run.hh) instead of
- *        the per-step reference decoder; every divergence check,
- *        the watchdog and the timing accounting are identical.
+ * @param decoded  pre-decoded image of @p prog that the replay runs
+ *        (isa/decoded_run.hh); null means DecodedProgram::get(prog).
  * @param vuln     optional static vulnerability model.  When given,
  *        every firing fault is stamped with the model's verdict for
  *        its site and tallied into ReplayOutcome::deadFaults /

@@ -33,15 +33,18 @@ System::System(const SystemConfig &config, const isa::Program &program,
 {
     config_.validate();
     engine_ = isa::makeEngine(config_.engine, program_);
-    if (engine_->kind() == isa::EngineKind::Decoded)
-        decodedProg_ = static_cast<const isa::DecodedEngine &>(*engine_)
-                           .decodedPtr();
-    // Superblock batching commits many instructions per stepOnce().
-    // A multicore interleaves cores min-local-time-first, one
-    // stepOnce() at a time, so shared L2/DRAM accesses happen in
-    // simulated-time order -- batching would let one core race
-    // thousands of instructions ahead of its siblings' clocks.
-    batchingAllowed_ = uncore == nullptr;
+    decodedProg_ =
+        engine_->kind() == isa::EngineKind::Decoded
+            ? static_cast<const isa::DecodedEngine &>(*engine_).decodedPtr()
+            : isa::DecodedProgram::get(program_);
+    // Superblock batching commits many instructions per stepOnce()
+    // and is how the decoded engine runs.  A multicore interleaves
+    // cores min-local-time-first, one stepOnce() at a time, so shared
+    // L2/DRAM accesses happen in simulated-time order -- batching
+    // would let one core race thousands of instructions ahead of its
+    // siblings' clocks.
+    batchingAllowed_ =
+        engine_->kind() == isa::EngineKind::Decoded && uncore == nullptr;
     if (uncore) {
         hierarchy_ = std::make_unique<mem::CacheHierarchy>(
             config_.hierarchy, mainClock_, uncore->l2.get(),
@@ -1214,7 +1217,7 @@ System::stepInstruction()
         }
     }
 
-    if (batchingAllowed_ && decodedProg_ && commitBatch())
+    if (batchingAllowed_ && commitBatch())
         return;
 
     // A batch of one.  Peek the next instruction's memory behaviour

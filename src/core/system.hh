@@ -509,11 +509,12 @@ class System
     /** Execution engine (config_.engine) for the main core's
      * functional path; owns fetch and decode. */
     std::unique_ptr<isa::Engine> engine_;
-    /** Shared decoded image (null with the reference engine); feeds
-     * the checker-replay fast path. */
+    /** Shared decoded image, with either engine: checker replay
+     * runs it, and so do superblock commits. */
     std::shared_ptr<const isa::DecodedProgram> decodedProg_;
-    /** Superblock commits permitted (false under a shared uncore:
-     * the multicore interleave needs per-instruction granularity). */
+    /** Superblock commits permitted: the decoded engine, and no
+     * shared uncore (the multicore interleave needs per-instruction
+     * granularity). */
     bool batchingAllowed_ = false;
 
     mem::SimpleMemory memory_;

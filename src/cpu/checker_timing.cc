@@ -47,41 +47,8 @@ CheckerTiming::instCycles(unsigned id, Addr pc,
             cycles += params_.missCycles;
     }
 
-    // Execute: one cycle base; long latencies stall the in-order pipe.
-    const isa::InstInfo &ii = inst.info();
-    unsigned exec;
-    switch (ii.cls) {
-      case isa::InstClass::IntAlu:
-        exec = params_.intAluLat;
-        break;
-      case isa::InstClass::Branch:
-      case isa::InstClass::Jump:
-        exec = params_.intAluLat + params_.branchExtraLat;
-        break;
-      case isa::InstClass::IntMult:
-        exec = params_.intMultLat;
-        break;
-      case isa::InstClass::IntDiv:
-        exec = params_.intDivLat;
-        break;
-      case isa::InstClass::FpAlu:
-        exec = params_.fpAluLat;
-        break;
-      case isa::InstClass::FpMult:
-        exec = params_.fpMultLat;
-        break;
-      case isa::InstClass::FpDiv:
-        exec = params_.fpDivLat;
-        break;
-      case isa::InstClass::Load:
-      case isa::InstClass::Store:
-        exec = params_.logAccessLat;
-        break;
-      default:
-        exec = 1;
-        break;
-    }
-    return cycles + exec;
+    // Execute: long latencies stall the in-order pipe.
+    return cycles + isa::checkerExecCycles(inst.info().cls);
 }
 
 void

@@ -30,7 +30,10 @@ namespace paradox
 namespace cpu
 {
 
-/** Structural and latency parameters of the checker complex. */
+/**
+ * Structural and fetch parameters of the checker complex.  Execute
+ * latencies are per instruction class (isa::checkerExecCycles).
+ */
 struct CheckerParams
 {
     unsigned count = 16;           //!< checker cores per main core
@@ -43,19 +46,6 @@ struct CheckerParams
     unsigned sharedL1Assoc = 4;
     unsigned sharedL1Cycles = 4;   //!< extra cycles on an L0 miss
     unsigned missCycles = 24;      //!< extra cycles beyond shared L1
-
-    unsigned intAluLat = 1;
-    unsigned intMultLat = 4;
-    unsigned intDivLat = 24;       //!< proportionally slower than main
-    unsigned fpAluLat = 2;   //!< pipelined: stall only on use
-    unsigned fpMultLat = 3;
-    unsigned fpDivLat = 32;
-    unsigned logAccessLat = 1;     //!< load-store-log SRAM access
-    /** Taken-control-flow refetch bubble: the 4-stage in-order pipe
-     * has no branch predictor, so redirects cost extra cycles.  This
-     * sizes per-checker throughput so that, as in ParaMedic, on the
-     * order of a dozen checkers are needed to match the main core. */
-    unsigned branchExtraLat = 2;
 };
 
 /**

@@ -58,12 +58,6 @@ DecodedProgram::DecodedProgram(const Program &prog)
         u.isStore = ii.isStore;
         u.isBranch = ii.isBranch;
         u.isJump = ii.isJump;
-        u.writesInt = ii.writesIntReg;
-        u.writesFp = ii.writesFpReg;
-        u.loadSignExtend = inst.op == Opcode::LB ||
-                           inst.op == Opcode::LH || inst.op == Opcode::LW;
-        u.loadToFp = inst.op == Opcode::FLD;
-        u.storeFromFp = inst.op == Opcode::FSD;
         u.imm = inst.imm;
         u.inst = &inst;
 

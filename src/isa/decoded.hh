@@ -4,9 +4,8 @@
  * that executes it.
  *
  * Decode happens once, at DecodedProgram construction: every
- * Instruction becomes one flat MicroOp with its operand roles,
- * load/store/branch classification, sign-extension behaviour and
- * memory width pre-extracted, branch/jump targets resolved to
+ * Instruction becomes one flat MicroOp with its encoded sources,
+ * load/store/branch classification and memory width pre-extracted, branch/jump targets resolved to
  * micro-op *indices*, and a superblock run length (the number of
  * guaranteed straight-line micro-ops from each point to the next
  * control transfer or HALT).  The inner loop (decoded_run.hh) then
@@ -50,16 +49,11 @@ struct MicroOp
     std::uint8_t srcB = srcNone;
     std::uint8_t srcC = srcNone;
 
-    /** @{ Pre-classified behaviour flags (from InstInfo + opcode). */
+    /** @{ Pre-classified behaviour flags (from InstInfo). */
     bool isLoad = false;
     bool isStore = false;
     bool isBranch = false;
     bool isJump = false;
-    bool loadSignExtend = false;  //!< LB/LH/LW sign-extend
-    bool loadToFp = false;        //!< FLD writes the FP file
-    bool storeFromFp = false;     //!< FSD sources the FP file
-    bool writesInt = false;
-    bool writesFp = false;
     /** @} */
 
     /**

@@ -148,18 +148,9 @@ runDecoded(const DecodedProgram &dp, ArchState &state, Mem &mem,
 #define U_NEXT() goto commit
     static const void *const dispatch_table[unsigned(
         Opcode::NumOpcodes)] = {
-        &&L_ADD,  &&L_SUB,  &&L_AND_, &&L_OR_,  &&L_XOR_, &&L_SLL,
-        &&L_SRL,  &&L_SRA,  &&L_SLT,  &&L_SLTU, &&L_MUL,  &&L_MULH,
-        &&L_DIV,  &&L_DIVU, &&L_REM,  &&L_REMU, &&L_ADDI, &&L_ANDI,
-        &&L_ORI,  &&L_XORI, &&L_SLLI, &&L_SRLI, &&L_SRAI, &&L_SLTI,
-        &&L_LDI,  &&L_LB,   &&L_LBU,  &&L_LH,   &&L_LHU,  &&L_LW,
-        &&L_LWU,  &&L_LD,   &&L_SB,   &&L_SH,   &&L_SW,   &&L_SD,
-        &&L_FLD,  &&L_FSD,  &&L_BEQ,  &&L_BNE,  &&L_BLT,  &&L_BGE,
-        &&L_BLTU, &&L_BGEU, &&L_JAL,  &&L_JALR, &&L_FADD, &&L_FSUB,
-        &&L_FMUL, &&L_FDIV, &&L_FSQRT, &&L_FMIN, &&L_FMAX, &&L_FNEG,
-        &&L_FABS, &&L_FMADD, &&L_FCVT_D_L, &&L_FCVT_L_D, &&L_FMV_X_D,
-        &&L_FMV_D_X, &&L_FEQ, &&L_FLT_, &&L_FLE, &&L_NOP, &&L_SYSCALL,
-        &&L_HALT,
+#define PARADOX_X(name, ...) &&L_##name,
+        PARADOX_OPCODES(PARADOX_X)
+#undef PARADOX_X
     };
 #else
 #define U_LABEL(name) case Opcode::name:

@@ -10,29 +10,14 @@ namespace isa
 SourceRegs
 decodeSources(const Instruction &inst)
 {
-    SourceRegs s;
-    const InstInfo &ii = instInfo(inst.op);
-    if (inst.op == Opcode::FSD) {
-        // FP store: integer base address + FP data source.
-        s.a = inst.rs1;
-        s.b = std::uint8_t(inst.rs2 | srcFpBit);
-    } else if (ii.readsFp) {
-        s.a = std::uint8_t(inst.rs1 | srcFpBit);
-        if (inst.op != Opcode::FSQRT && inst.op != Opcode::FNEG &&
-            inst.op != Opcode::FABS && inst.op != Opcode::FCVT_L_D &&
-            inst.op != Opcode::FMV_X_D)
-            s.b = std::uint8_t(inst.rs2 | srcFpBit);
-        if (inst.op == Opcode::FMADD)
-            s.c = std::uint8_t(inst.rd | srcFpBit);
-    } else {
-        // Integer ops (including loads, stores, branches and the
-        // int->FP moves) source the integer file; unused rs fields
-        // are 0 and x0 is always ready, so keeping them preserves
-        // the scoreboard behaviour exactly.
-        s.a = inst.rs1;
-        s.b = inst.rs2;
-    }
-    return s;
+    std::uint8_t enc[3];
+    const auto srcs = inst.sources();
+    for (unsigned i = 0; i < 3; ++i)
+        enc[i] = srcs[i].file == Operand::None ? srcNone
+                 : srcs[i].file == Operand::Fp
+                     ? std::uint8_t(srcs[i].idx | srcFpBit)
+                     : srcs[i].idx;
+    return {enc[0], enc[1], enc[2]};
 }
 
 CommitRecord

@@ -57,16 +57,16 @@ constexpr unsigned srcIdx(std::uint8_t s) { return s & srcIdxMask; }
 /** The three encoded source operands of one instruction. */
 struct SourceRegs
 {
-    std::uint8_t a = srcNone;  //!< first source
-    std::uint8_t b = srcNone;  //!< second source
-    std::uint8_t c = srcNone;  //!< third source (FMADD accumulator)
+    std::uint8_t a = srcNone;  //!< rs1
+    std::uint8_t b = srcNone;  //!< rs2
+    std::uint8_t c = srcNone;  //!< rd as a source (FMADD accumulator)
 };
 
 /**
- * Operand roles of @p inst, exactly as the register-dependency
- * scoreboard consumes them.  This is decode-time metadata: the
- * DecodedEngine bakes it into its micro-ops, the ReferenceEngine
- * computes it per step.
+ * The source operands of @p inst (Instruction::sources: rs1, rs2, the
+ * FMADD accumulator), encoded for the register-dependency scoreboard.
+ * This is decode-time metadata: the DecodedEngine bakes it into its
+ * micro-ops, the ReferenceEngine computes it per step.
  */
 SourceRegs decodeSources(const Instruction &inst);
 

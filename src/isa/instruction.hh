@@ -6,6 +6,7 @@
 #ifndef PARADOX_ISA_INSTRUCTION_HH
 #define PARADOX_ISA_INSTRUCTION_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -44,6 +45,13 @@ struct FReg
 /** The always-zero integer register. */
 constexpr XReg xzero{0};
 
+/** One register operand of an instruction: its file and index. */
+struct RegOperand
+{
+    Operand file = Operand::None;  //!< None: no register
+    std::uint8_t idx = 0;
+};
+
 /**
  * One decoded instruction.
  *
@@ -62,7 +70,28 @@ struct Instruction
     /** Static properties of this instruction's opcode. */
     const InstInfo &info() const { return instInfo(op); }
 
-    /** Render for diagnostics, e.g. "add x3, x1, x2". */
+    /**
+     * The registers this instruction reads, by field: rs1, rs2, then
+     * rd when its opcode row marks rd a source.  Unused fields have
+     * file None.
+     */
+    std::array<RegOperand, 3>
+    sources() const
+    {
+        const InstInfo &ii = info();
+        return {{{ii.rs1, rs1},
+                 {ii.rs2, rs2},
+                 {ii.rdIsSource ? ii.rd : Operand::None, rd}}};
+    }
+
+    /** The register this instruction writes (file None if none). */
+    RegOperand dest() const { return {info().rd, rd}; }
+
+    /**
+     * Render for diagnostics, e.g. "add x3, x1, x2", "ld x2, 8(x1)",
+     * "beq x1, x2, @64": the registers the opcode row names, then the
+     * immediate where the opcode reads one.
+     */
     std::string toString() const;
 };
 

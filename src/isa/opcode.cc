@@ -7,16 +7,6 @@ namespace paradox
 namespace isa
 {
 
-namespace
-{
-
-const char *classNames[static_cast<unsigned>(InstClass::NumClasses)] = {
-    "IntAlu", "IntMult", "IntDiv", "FpAlu", "FpMult", "FpDiv",
-    "Load", "Store", "Branch", "Jump", "Other",
-};
-
-} // namespace
-
 namespace detail
 {
 
@@ -37,10 +27,15 @@ mnemonic(Opcode op)
 const char *
 className(InstClass cls)
 {
+    static const char *const names[] = {
+#define PARADOX_X(name, cycles) #name,
+        PARADOX_INST_CLASSES(PARADOX_X)
+#undef PARADOX_X
+    };
     auto idx = static_cast<unsigned>(cls);
     if (idx >= static_cast<unsigned>(InstClass::NumClasses))
         panic("className: class out of range");
-    return classNames[idx];
+    return names[idx];
 }
 
 } // namespace isa

@@ -9,6 +9,12 @@
  * The paper's evaluation ran ARMv8 binaries under gem5; PDX64 plays
  * the same role here as the architectural substrate that workloads
  * are written in and that both main and checker cores execute.
+ *
+ * Every static per-opcode fact lives in one table, PARADOX_OPCODES
+ * below, and every per-class fact in PARADOX_INST_CLASSES.  The enums,
+ * InstInfo, mnemonics, the decoded engine's dispatch table, operand
+ * roles (decodeSources, analysis::useDef) and checker latencies are
+ * all generated from them.
  */
 
 #ifndef PARADOX_ISA_OPCODE_HH
@@ -16,81 +22,179 @@
 
 #include <cstdint>
 
+/**
+ * The instruction classes: one row per functional-unit / timing
+ * class.  Columns: name, checker-core execute cycles.
+ *
+ * The main core maps classes to its FU pool (3 int ALUs, 2 FP ALUs,
+ * 1 mult/div, Table I); the fault injector uses them to target
+ * specific units (section V-A, combinational faults).  The checker
+ * cycles are what one instruction costs the 4-stage in-order checker
+ * pipe beyond fetch: long ops stall it for their full latency (the
+ * narrow divider especially, section IV-C); FP add is pipelined and
+ * stalls only on use; loads and stores are one load-store-log SRAM
+ * access; branches and jumps pay 1 cycle plus a 2-cycle refetch
+ * bubble, since the pipe has no branch predictor.  This sizes
+ * per-checker throughput so that, as in ParaMedic, on the order of a
+ * dozen checkers are needed to match the main core.
+ */
+#define PARADOX_INST_CLASSES(X)                                         \
+    X(IntAlu, 1)                                                        \
+    X(IntMult, 4)                                                       \
+    X(IntDiv, 24)                                                       \
+    X(FpAlu, 2)                                                         \
+    X(FpMult, 3)                                                        \
+    X(FpDiv, 32)                                                        \
+    X(Load, 1)                                                          \
+    X(Store, 1)                                                         \
+    X(Branch, 3)                                                        \
+    X(Jump, 3)                                                          \
+    X(Other, 1)
+
+/**
+ * The opcode table: one row per PDX64 operation.  Columns:
+ *
+ *  - name: the Opcode enumerator and decoded-engine handler label;
+ *  - mnemonic;
+ *  - class (PARADOX_INST_CLASSES);
+ *  - rd, rs1, rs2: what each register field names -- None (unused,
+ *    the builder zeroes it), Int or Fp;
+ *  - acc: 1 when rd is also read as a source (FMADD's accumulator);
+ *  - mem: load/store access width in bytes (0 if not memory);
+ *  - sext: 1 when a load sign-extends.
+ *
+ * Adding an opcode takes a row here, a handler in each of the two
+ * execution semantics (executor.cc, decoded_run.hh), and a look at the
+ * per-opcode transfer functions of the analyses (vuln.cc, ai.cc,
+ * footprint.cc).
+ */
+#define PARADOX_OPCODES(X)                                              \
+    /* Integer register-register. */                                    \
+    X(ADD,      "add",      IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(SUB,      "sub",      IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(AND_,     "and",      IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(OR_,      "or",       IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(XOR_,     "xor",      IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(SLL,      "sll",      IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(SRL,      "srl",      IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(SRA,      "sra",      IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(SLT,      "slt",      IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(SLTU,     "sltu",     IntAlu,  Int,  Int,  Int,  0, 0, 0)         \
+    X(MUL,      "mul",      IntMult, Int,  Int,  Int,  0, 0, 0)         \
+    X(MULH,     "mulh",     IntMult, Int,  Int,  Int,  0, 0, 0)         \
+    X(DIV,      "div",      IntDiv,  Int,  Int,  Int,  0, 0, 0)         \
+    X(DIVU,     "divu",     IntDiv,  Int,  Int,  Int,  0, 0, 0)         \
+    X(REM,      "rem",      IntDiv,  Int,  Int,  Int,  0, 0, 0)         \
+    X(REMU,     "remu",     IntDiv,  Int,  Int,  Int,  0, 0, 0)         \
+    /* Integer register-immediate. */                                   \
+    X(ADDI,     "addi",     IntAlu,  Int,  Int,  None, 0, 0, 0)         \
+    X(ANDI,     "andi",     IntAlu,  Int,  Int,  None, 0, 0, 0)         \
+    X(ORI,      "ori",      IntAlu,  Int,  Int,  None, 0, 0, 0)         \
+    X(XORI,     "xori",     IntAlu,  Int,  Int,  None, 0, 0, 0)         \
+    X(SLLI,     "slli",     IntAlu,  Int,  Int,  None, 0, 0, 0)         \
+    X(SRLI,     "srli",     IntAlu,  Int,  Int,  None, 0, 0, 0)         \
+    X(SRAI,     "srai",     IntAlu,  Int,  Int,  None, 0, 0, 0)         \
+    X(SLTI,     "slti",     IntAlu,  Int,  Int,  None, 0, 0, 0)         \
+    /* 64-bit immediate load (simulator-level pseudo-op). */            \
+    X(LDI,      "ldi",      IntAlu,  Int,  None, None, 0, 0, 0)         \
+    /* Loads (sign- and zero-extending) and stores. */                  \
+    X(LB,       "lb",       Load,    Int,  Int,  None, 0, 1, 1)         \
+    X(LBU,      "lbu",      Load,    Int,  Int,  None, 0, 1, 0)         \
+    X(LH,       "lh",       Load,    Int,  Int,  None, 0, 2, 1)         \
+    X(LHU,      "lhu",      Load,    Int,  Int,  None, 0, 2, 0)         \
+    X(LW,       "lw",       Load,    Int,  Int,  None, 0, 4, 1)         \
+    X(LWU,      "lwu",      Load,    Int,  Int,  None, 0, 4, 0)         \
+    X(LD,       "ld",       Load,    Int,  Int,  None, 0, 8, 0)         \
+    X(SB,       "sb",       Store,   None, Int,  Int,  0, 1, 0)         \
+    X(SH,       "sh",       Store,   None, Int,  Int,  0, 2, 0)         \
+    X(SW,       "sw",       Store,   None, Int,  Int,  0, 4, 0)         \
+    X(SD,       "sd",       Store,   None, Int,  Int,  0, 8, 0)         \
+    X(FLD,      "fld",      Load,    Fp,   Int,  None, 0, 8, 0)         \
+    X(FSD,      "fsd",      Store,   None, Int,  Fp,   0, 8, 0)         \
+    /* Control flow. */                                                 \
+    X(BEQ,      "beq",      Branch,  None, Int,  Int,  0, 0, 0)         \
+    X(BNE,      "bne",      Branch,  None, Int,  Int,  0, 0, 0)         \
+    X(BLT,      "blt",      Branch,  None, Int,  Int,  0, 0, 0)         \
+    X(BGE,      "bge",      Branch,  None, Int,  Int,  0, 0, 0)         \
+    X(BLTU,     "bltu",     Branch,  None, Int,  Int,  0, 0, 0)         \
+    X(BGEU,     "bgeu",     Branch,  None, Int,  Int,  0, 0, 0)         \
+    X(JAL,      "jal",      Jump,    Int,  None, None, 0, 0, 0)         \
+    X(JALR,     "jalr",     Jump,    Int,  Int,  None, 0, 0, 0)         \
+    /* Double-precision floating point. */                              \
+    X(FADD,     "fadd",     FpAlu,   Fp,   Fp,   Fp,   0, 0, 0)         \
+    X(FSUB,     "fsub",     FpAlu,   Fp,   Fp,   Fp,   0, 0, 0)         \
+    X(FMUL,     "fmul",     FpMult,  Fp,   Fp,   Fp,   0, 0, 0)         \
+    X(FDIV,     "fdiv",     FpDiv,   Fp,   Fp,   Fp,   0, 0, 0)         \
+    X(FSQRT,    "fsqrt",    FpDiv,   Fp,   Fp,   None, 0, 0, 0)         \
+    X(FMIN,     "fmin",     FpAlu,   Fp,   Fp,   Fp,   0, 0, 0)         \
+    X(FMAX,     "fmax",     FpAlu,   Fp,   Fp,   Fp,   0, 0, 0)         \
+    X(FNEG,     "fneg",     FpAlu,   Fp,   Fp,   None, 0, 0, 0)         \
+    X(FABS,     "fabs",     FpAlu,   Fp,   Fp,   None, 0, 0, 0)         \
+    X(FMADD,    "fmadd",    FpMult,  Fp,   Fp,   Fp,   1, 0, 0)         \
+    /* int64 -> double; double -> int64 (truncating). */                \
+    X(FCVT_D_L, "fcvt.d.l", FpAlu,   Fp,   Int,  None, 0, 0, 0)         \
+    X(FCVT_L_D, "fcvt.l.d", FpAlu,   Int,  Fp,   None, 0, 0, 0)         \
+    /* Raw bit moves fp -> int and int -> fp. */                        \
+    X(FMV_X_D,  "fmv.x.d",  FpAlu,   Int,  Fp,   None, 0, 0, 0)         \
+    X(FMV_D_X,  "fmv.d.x",  FpAlu,   Fp,   Int,  None, 0, 0, 0)         \
+    /* FP compares writing an integer register. */                      \
+    X(FEQ,      "feq",      FpAlu,   Int,  Fp,   Fp,   0, 0, 0)         \
+    X(FLT_,     "flt",      FpAlu,   Int,  Fp,   Fp,   0, 0, 0)         \
+    X(FLE,      "fle",      FpAlu,   Int,  Fp,   Fp,   0, 0, 0)         \
+    /* Miscellaneous; SYSCALL is a rollback-able internal operation. */ \
+    X(NOP,      "nop",      Other,   None, None, None, 0, 0, 0)         \
+    X(SYSCALL,  "syscall",  Other,   Int,  Int,  None, 0, 0, 0)         \
+    X(HALT,     "halt",     Other,   None, None, None, 0, 0, 0)
+
 namespace paradox
 {
 namespace isa
 {
 
-/** Every PDX64 operation. */
+/** Every PDX64 operation (PARADOX_OPCODES). */
 enum class Opcode : std::uint8_t
 {
-    // Integer register-register.
-    ADD, SUB, AND_, OR_, XOR_, SLL, SRL, SRA, SLT, SLTU,
-    MUL, MULH, DIV, DIVU, REM, REMU,
-    // Integer register-immediate.
-    ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI,
-    // 64-bit immediate load (simulator-level pseudo-op).
-    LDI,
-    // Loads (sign- and zero-extending) and stores.
-    LB, LBU, LH, LHU, LW, LWU, LD,
-    SB, SH, SW, SD,
-    FLD, FSD,
-    // Control flow.
-    BEQ, BNE, BLT, BGE, BLTU, BGEU,
-    JAL, JALR,
-    // Double-precision floating point.
-    FADD, FSUB, FMUL, FDIV, FSQRT, FMIN, FMAX,
-    FNEG, FABS, FMADD,
-    FCVT_D_L,   //!< int64 -> double
-    FCVT_L_D,   //!< double -> int64 (truncating)
-    FMV_X_D,    //!< move raw bits fp -> int
-    FMV_D_X,    //!< move raw bits int -> fp
-    FEQ, FLT_, FLE,  //!< FP compares writing an integer register
-    // Miscellaneous.
-    NOP,
-    SYSCALL,    //!< modelled as a rollback-able internal operation
-    HALT,
-
+#define PARADOX_X(name, ...) name,
+    PARADOX_OPCODES(PARADOX_X)
+#undef PARADOX_X
     NumOpcodes
 };
 
-/**
- * Functional-unit / timing class of an instruction.  The main core
- * maps classes to its FU pool (3 int ALUs, 2 FP ALUs, 1 mult/div,
- * Table I); the checker core maps them to its in-order pipe; the
- * fault injector uses them to target specific units (section V-A,
- * combinational faults).
- */
+/** Functional-unit / timing class of an instruction. */
 enum class InstClass : std::uint8_t
 {
-    IntAlu,
-    IntMult,
-    IntDiv,
-    FpAlu,
-    FpMult,
-    FpDiv,
-    Load,
-    Store,
-    Branch,
-    Jump,
-    Other,
-
+#define PARADOX_X(name, cycles) name,
+    PARADOX_INST_CLASSES(PARADOX_X)
+#undef PARADOX_X
     NumClasses
 };
 
-/** Static properties of one opcode. */
+/** What one register field of an instruction names. */
+enum class Operand : std::uint8_t
+{
+    None,  //!< field unused
+    Int,   //!< integer register file
+    Fp,    //!< floating-point register file
+};
+
+/** Static properties of one opcode: its PARADOX_OPCODES row. */
 struct InstInfo
 {
     const char *mnemonic;
     InstClass cls;
-    bool writesIntReg;   //!< destination is an integer register
-    bool writesFpReg;    //!< destination is an FP register
-    bool readsFp;        //!< sources include FP registers
+    Operand rd;           //!< destination (None: writes no register)
+    Operand rs1;
+    Operand rs2;
+    bool rdIsSource;      //!< rd is also read (FMADD accumulator)
+    std::uint8_t memSize; //!< access width in bytes (0 if not memory)
+    bool loadSignExtend;  //!< LB/LH/LW
+
+    /** @{ Derived from the class. */
     bool isLoad;
     bool isStore;
-    bool isBranch;       //!< conditional control flow
-    bool isJump;         //!< unconditional control flow
-    std::uint8_t memSize; //!< access width in bytes (0 if not memory)
+    bool isBranch;        //!< conditional control flow
+    bool isJump;          //!< unconditional control flow
+    /** @} */
 };
 
 namespace detail
@@ -99,83 +203,29 @@ namespace detail
 /** Abort on a corrupt opcode (out-of-line: keeps instInfo tiny). */
 [[noreturn]] void instInfoOutOfRange();
 
-// Shorthand rows. Columns: mnemonic, class, writesInt, writesFp,
-// readsFp, isLoad, isStore, isBranch, isJump, memSize.
 constexpr InstInfo
-infoRow(const char *mnem, InstClass cls, bool wi, bool wf, bool rf,
-        bool ld, bool st, bool br, bool jp, std::uint8_t sz)
+infoRow(const char *mnem, InstClass cls, Operand rd, Operand rs1,
+        Operand rs2, bool acc, std::uint8_t mem, bool sext)
 {
-    return InstInfo{mnem, cls, wi, wf, rf, ld, st, br, jp, sz};
+    return InstInfo{mnem, cls, rd, rs1, rs2, acc, mem, sext,
+                    cls == InstClass::Load, cls == InstClass::Store,
+                    cls == InstClass::Branch, cls == InstClass::Jump};
 }
 
 inline constexpr InstInfo
     infoTable[static_cast<unsigned>(Opcode::NumOpcodes)] = {
-    infoRow("add",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("sub",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("and",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("or",   InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("xor",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("sll",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("srl",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("sra",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("slt",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("sltu", InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("mul",  InstClass::IntMult,1,0,0, 0,0,0,0, 0),
-    infoRow("mulh", InstClass::IntMult,1,0,0, 0,0,0,0, 0),
-    infoRow("div",  InstClass::IntDiv, 1,0,0, 0,0,0,0, 0),
-    infoRow("divu", InstClass::IntDiv, 1,0,0, 0,0,0,0, 0),
-    infoRow("rem",  InstClass::IntDiv, 1,0,0, 0,0,0,0, 0),
-    infoRow("remu", InstClass::IntDiv, 1,0,0, 0,0,0,0, 0),
-    infoRow("addi", InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("andi", InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("ori",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("xori", InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("slli", InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("srli", InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("srai", InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("slti", InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("ldi",  InstClass::IntAlu, 1,0,0, 0,0,0,0, 0),
-    infoRow("lb",   InstClass::Load,  1,0,0, 1,0,0,0, 1),
-    infoRow("lbu",  InstClass::Load,  1,0,0, 1,0,0,0, 1),
-    infoRow("lh",   InstClass::Load,  1,0,0, 1,0,0,0, 2),
-    infoRow("lhu",  InstClass::Load,  1,0,0, 1,0,0,0, 2),
-    infoRow("lw",   InstClass::Load,  1,0,0, 1,0,0,0, 4),
-    infoRow("lwu",  InstClass::Load,  1,0,0, 1,0,0,0, 4),
-    infoRow("ld",   InstClass::Load,  1,0,0, 1,0,0,0, 8),
-    infoRow("sb",   InstClass::Store, 0,0,0, 0,1,0,0, 1),
-    infoRow("sh",   InstClass::Store, 0,0,0, 0,1,0,0, 2),
-    infoRow("sw",   InstClass::Store, 0,0,0, 0,1,0,0, 4),
-    infoRow("sd",   InstClass::Store, 0,0,0, 0,1,0,0, 8),
-    infoRow("fld",  InstClass::Load,  0,1,0, 1,0,0,0, 8),
-    infoRow("fsd",  InstClass::Store, 0,0,1, 0,1,0,0, 8),
-    infoRow("beq",  InstClass::Branch,0,0,0, 0,0,1,0, 0),
-    infoRow("bne",  InstClass::Branch,0,0,0, 0,0,1,0, 0),
-    infoRow("blt",  InstClass::Branch,0,0,0, 0,0,1,0, 0),
-    infoRow("bge",  InstClass::Branch,0,0,0, 0,0,1,0, 0),
-    infoRow("bltu", InstClass::Branch,0,0,0, 0,0,1,0, 0),
-    infoRow("bgeu", InstClass::Branch,0,0,0, 0,0,1,0, 0),
-    infoRow("jal",  InstClass::Jump,  1,0,0, 0,0,0,1, 0),
-    infoRow("jalr", InstClass::Jump,  1,0,0, 0,0,0,1, 0),
-    infoRow("fadd", InstClass::FpAlu, 0,1,1, 0,0,0,0, 0),
-    infoRow("fsub", InstClass::FpAlu, 0,1,1, 0,0,0,0, 0),
-    infoRow("fmul", InstClass::FpMult,0,1,1, 0,0,0,0, 0),
-    infoRow("fdiv", InstClass::FpDiv, 0,1,1, 0,0,0,0, 0),
-    infoRow("fsqrt",InstClass::FpDiv, 0,1,1, 0,0,0,0, 0),
-    infoRow("fmin", InstClass::FpAlu, 0,1,1, 0,0,0,0, 0),
-    infoRow("fmax", InstClass::FpAlu, 0,1,1, 0,0,0,0, 0),
-    infoRow("fneg", InstClass::FpAlu, 0,1,1, 0,0,0,0, 0),
-    infoRow("fabs", InstClass::FpAlu, 0,1,1, 0,0,0,0, 0),
-    infoRow("fmadd",InstClass::FpMult,0,1,1, 0,0,0,0, 0),
-    infoRow("fcvt.d.l", InstClass::FpAlu, 0,1,0, 0,0,0,0, 0),
-    infoRow("fcvt.l.d", InstClass::FpAlu, 1,0,1, 0,0,0,0, 0),
-    infoRow("fmv.x.d",  InstClass::FpAlu, 1,0,1, 0,0,0,0, 0),
-    infoRow("fmv.d.x",  InstClass::FpAlu, 0,1,0, 0,0,0,0, 0),
-    infoRow("feq",  InstClass::FpAlu, 1,0,1, 0,0,0,0, 0),
-    infoRow("flt",  InstClass::FpAlu, 1,0,1, 0,0,0,0, 0),
-    infoRow("fle",  InstClass::FpAlu, 1,0,1, 0,0,0,0, 0),
-    infoRow("nop",  InstClass::Other, 0,0,0, 0,0,0,0, 0),
-    infoRow("syscall", InstClass::Other, 1,0,0, 0,0,0,0, 0),
-    infoRow("halt", InstClass::Other, 0,0,0, 0,0,0,0, 0),
+#define PARADOX_X(name, mnem, cls, rd, rs1, rs2, acc, mem, sext)        \
+    infoRow(mnem, InstClass::cls, Operand::rd, Operand::rs1,            \
+            Operand::rs2, acc, mem, sext),
+    PARADOX_OPCODES(PARADOX_X)
+#undef PARADOX_X
+};
+
+inline constexpr unsigned
+    checkerCycleTable[static_cast<unsigned>(InstClass::NumClasses)] = {
+#define PARADOX_X(name, cycles) cycles,
+    PARADOX_INST_CLASSES(PARADOX_X)
+#undef PARADOX_X
 };
 
 } // namespace detail
@@ -191,6 +241,16 @@ instInfo(Opcode op)
     if (idx >= static_cast<unsigned>(Opcode::NumOpcodes))
         detail::instInfoOutOfRange();
     return detail::infoTable[idx];
+}
+
+/**
+ * Checker-core execute cycles of one instruction of @p cls, shared by
+ * the checker timing model and the static cost model.
+ */
+constexpr unsigned
+checkerExecCycles(InstClass cls)
+{
+    return detail::checkerCycleTable[static_cast<unsigned>(cls)];
 }
 
 /** Human-readable mnemonic of @p op. */

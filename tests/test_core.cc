@@ -426,6 +426,221 @@ TEST(Replay, EveryArchBitFlipInStartStateIsDetected)
     }
 }
 
+/**
+ * The reference checker replay: a per-instruction isa::step loop over
+ * a log-replay memory.  replaySegment runs the decoded engine
+ * instead, with or without fault injectors; this loop is the oracle
+ * it must match outcome for outcome.
+ */
+class OracleLog : public isa::MemIf
+{
+  public:
+    OracleLog(const LogSegment &segment, faults::FaultPlan &plan,
+              ReplayOutcome &outcome)
+        : segment_(segment), plan_(plan), outcome_(outcome)
+    {}
+
+    std::uint64_t
+    read(Addr addr, unsigned size) override
+    {
+        const LogEntry *e = next();
+        if (!e || !e->isLoad || e->addr != addr || e->size != size) {
+            reason = DetectReason::LoadEntryMismatch;
+            return 0;
+        }
+        return corrupt(e->value, true);
+    }
+
+    std::uint64_t
+    write(Addr addr, unsigned size, std::uint64_t value) override
+    {
+        const LogEntry *e = next();
+        if (!e || e->isLoad || e->addr != addr || e->size != size ||
+            corrupt(e->value, false) != value) {
+            reason = DetectReason::StoreMismatch;
+            return 0;
+        }
+        return e->oldValue;
+    }
+
+    std::size_t consumed() const { return index_; }
+
+    DetectReason reason = DetectReason::None;
+
+  private:
+    const LogEntry *
+    next()
+    {
+        return index_ < segment_.entries().size()
+                   ? &segment_.entries()[index_++]
+                   : nullptr;
+    }
+
+    std::uint64_t
+    corrupt(std::uint64_t value, bool is_load)
+    {
+        for (auto &injector : plan_.injectors()) {
+            const faults::FaultHit hit =
+                injector.onLogEntry(is_load, index_ - 1);
+            if (hit.fires) {
+                value ^= std::uint64_t(1) << hit.bit;
+                ++outcome_.faultsInjected;
+            }
+        }
+        return value;
+    }
+
+    const LogSegment &segment_;
+    faults::FaultPlan &plan_;
+    ReplayOutcome &outcome_;
+    std::size_t index_ = 0;
+};
+
+ReplayOutcome
+oracleReplay(const isa::Program &prog, const LogSegment &segment,
+             unsigned checker_id, cpu::CheckerTiming &timing,
+             faults::FaultPlan &plan, unsigned final_compare_cycles)
+{
+    ReplayOutcome outcome;
+    isa::ArchState state = segment.startState();
+    plan.setActiveChecker(int(checker_id));
+    OracleLog log(segment, plan, outcome);
+    const Cycles watchdog = Cycles(24) * (segment.instCount() + 16);
+    const unsigned count = segment.instCount();
+    Cycles cycles = 0;
+    const auto detect = [&outcome](DetectReason reason) {
+        outcome.detected = true;
+        outcome.reason = reason;
+    };
+    for (unsigned i = 0; i < count; ++i) {
+        if (cycles > watchdog) {
+            detect(DetectReason::Timeout);
+            break;
+        }
+        const isa::Instruction *inst = prog.fetch(state.pc());
+        if (!inst) {
+            detect(DetectReason::InvalidBehavior);
+            break;
+        }
+        cycles += timing.instCycles(checker_id, state.pc(), *inst);
+        const isa::ExecResult r = isa::step(prog, state, log);
+        ++outcome.instructionsExecuted;
+        if (log.reason != DetectReason::None) {
+            detect(log.reason);
+            break;
+        }
+        if (r.halted && i + 1 != count) {
+            detect(DetectReason::InvalidBehavior);
+            break;
+        }
+        outcome.faultsInjected +=
+            applyInstructionFaults(plan, *inst, r, state);
+    }
+    if (!outcome.detected) {
+        cycles += final_compare_cycles;
+        if (log.consumed() != segment.entries().size())
+            detect(DetectReason::EntryCountMismatch);
+        else if (!(state == segment.endState()))
+            detect(DetectReason::FinalStateMismatch);
+    }
+    outcome.cyclesAtDetection = cycles;
+    outcome.totalCycles = cycles;
+    return outcome;
+}
+
+/** Fault-free main-side run of @p prog, cut into segments. */
+std::vector<LogSegment>
+recordSegments(const isa::Program &prog, unsigned seg_len,
+               unsigned max_segs)
+{
+    std::vector<LogSegment> segs;
+    mem::SimpleMemory memory;
+    isa::ArchState state;
+    isa::loadProgram(prog, state, memory);
+    bool halted = false;
+    while (!halted && segs.size() < max_segs) {
+        LogSegment &seg = segs.emplace_back();
+        seg.open(segs.size(), state, 0, 0);
+        unsigned count = 0;
+        while (!halted && count < seg_len) {
+            const isa::ExecResult r = isa::step(prog, state, memory);
+            ++count;
+            if (r.isLoad)
+                seg.appendLoad(r.memAddr, r.memSize, r.loadValue, 16);
+            if (r.isStore)
+                seg.appendStore(r.memAddr, r.memSize, r.storeValue,
+                                r.storeOld, 24);
+            halted = r.halted;
+        }
+        seg.close(state, count, 0);
+    }
+    return segs;
+}
+
+TEST(Replay, InjectedFaultsMatchTheStepOracle)
+{
+    struct Kind
+    {
+        const char *name;
+        faults::FaultKind kind;
+        isa::RegCategory category;
+        double rate;
+    };
+    using faults::FaultKind;
+    using isa::RegCategory;
+    const Kind kinds[] = {
+        {"fu", FaultKind::FunctionalUnit, RegCategory::Integer, 0.05},
+        {"int-reg", FaultKind::RegisterBitFlip, RegCategory::Integer,
+         0.002},
+        {"fp-reg", FaultKind::RegisterBitFlip, RegCategory::Float, 0.002},
+        {"flags", FaultKind::RegisterBitFlip, RegCategory::Flags, 0.002},
+        {"pc", FaultKind::RegisterBitFlip, RegCategory::Misc, 0.002},
+        {"log-entry", FaultKind::LogBitFlip, RegCategory::Integer, 0.05},
+    };
+    for (const char *name : {"bitcount", "lbm"}) {
+        const auto w = workloads::build(name, 1);
+        const std::vector<LogSegment> segs =
+            recordSegments(w.program, 300, 24);
+        for (const Kind &k : kinds) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                faults::FaultConfig fc;
+                fc.kind = k.kind;
+                fc.targetCategory = k.category;
+                fc.rate = k.rate;
+                fc.seed = seed;
+                faults::FaultPlan plan, oracle_plan;
+                plan.add(fc);
+                oracle_plan.add(fc);
+                cpu::CheckerTiming timing, oracle_timing;
+                std::uint64_t fired = 0;
+                for (std::size_t i = 0; i < segs.size(); ++i) {
+                    const unsigned id = unsigned(i % 16);
+                    const ReplayOutcome got = replaySegment(
+                        w.program, segs[i], id, timing, plan, 16);
+                    const ReplayOutcome want = oracleReplay(
+                        w.program, segs[i], id, oracle_timing,
+                        oracle_plan, 16);
+                    const std::string where =
+                        std::string(name) + " " + k.name + " seed " +
+                        std::to_string(seed) + " segment " +
+                        std::to_string(i);
+                    EXPECT_EQ(got.detected, want.detected) << where;
+                    EXPECT_EQ(got.reason, want.reason) << where;
+                    EXPECT_EQ(got.cyclesAtDetection,
+                              want.cyclesAtDetection) << where;
+                    EXPECT_EQ(got.totalCycles, want.totalCycles) << where;
+                    EXPECT_EQ(got.instructionsExecuted,
+                              want.instructionsExecuted) << where;
+                    EXPECT_EQ(got.faultsInjected, want.faultsInjected)
+                        << where;
+                    fired += got.faultsInjected;
+                }
+                EXPECT_GT(fired, 0u) << name << " " << k.name;
+            }
+        }
+    }
+}
+
 } // namespace
 
 namespace

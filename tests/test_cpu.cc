@@ -291,8 +291,8 @@ TEST(CheckerTiming, OneCyclePlusLatencies)
     timing.instCycles(0, 0x0, add);
     Cycles add_cycles = timing.instCycles(0, 0x0, add);
     Cycles div_cycles = timing.instCycles(0, 0x0, div);
-    EXPECT_EQ(add_cycles, timing.params().intAluLat);
-    EXPECT_EQ(div_cycles, timing.params().intDivLat);
+    EXPECT_EQ(add_cycles, checkerExecCycles(InstClass::IntAlu));
+    EXPECT_EQ(div_cycles, checkerExecCycles(InstClass::IntDiv));
 }
 
 TEST(CheckerTiming, L0MissCostsMore)

@@ -1,17 +1,22 @@
 /**
  * @file
  * ISA unit tests: executor semantics per opcode family, the program
- * builder, and architectural-state operations.
+ * builder, architectural-state operations, and the opcode table's
+ * operand roles against the reference executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
+#include "analysis/regmodel.hh"
 #include "isa/builder.hh"
+#include "isa/decoded.hh"
 #include "isa/executor.hh"
 #include "mem/memory.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -379,6 +384,181 @@ TEST(Instruction, ToStringMentionsMnemonic)
     EXPECT_NE(inst.toString().find("add"), std::string::npos);
 }
 
+TEST(Instruction, ToStringPrintsTheRowsOperands)
+{
+    const auto text = [](Opcode op, unsigned rd, unsigned rs1,
+                         unsigned rs2, std::int64_t imm) {
+        return Instruction{op, std::uint8_t(rd), std::uint8_t(rs1),
+                           std::uint8_t(rs2), imm}
+            .toString();
+    };
+    EXPECT_EQ(text(Opcode::ADD, 3, 1, 2, 0), "add x3, x1, x2");
+    EXPECT_EQ(text(Opcode::ADDI, 3, 1, 0, -5), "addi x3, x1, -5");
+    EXPECT_EQ(text(Opcode::LDI, 3, 0, 0, 42), "ldi x3, 42");
+    EXPECT_EQ(text(Opcode::LW, 2, 1, 0, 8), "lw x2, 8(x1)");
+    EXPECT_EQ(text(Opcode::FSD, 0, 1, 2, 16), "fsd f2, 16(x1)");
+    EXPECT_EQ(text(Opcode::BEQ, 0, 1, 2, 64), "beq x1, x2, @64");
+    EXPECT_EQ(text(Opcode::JAL, 1, 0, 0, 64), "jal x1, @64");
+    EXPECT_EQ(text(Opcode::JALR, 0, 1, 0, 0), "jalr x0, x1, 0");
+    EXPECT_EQ(text(Opcode::FMADD, 3, 1, 2, 0), "fmadd f3, f1, f2");
+    EXPECT_EQ(text(Opcode::FCVT_D_L, 1, 2, 0, 0), "fcvt.d.l f1, x2");
+    EXPECT_EQ(text(Opcode::FEQ, 4, 1, 2, 0), "feq x4, f1, f2");
+    EXPECT_EQ(text(Opcode::SYSCALL, 3, 1, 0, 0), "syscall x3, x1");
+    EXPECT_EQ(text(Opcode::NOP, 0, 0, 0, 0), "nop");
+    EXPECT_EQ(text(Opcode::HALT, 0, 0, 0, 0), "halt");
+}
+
+/** Memory whose contents are a fixed function of the address. */
+class HashMemory : public MemIf
+{
+  public:
+    std::uint64_t
+    read(Addr addr, unsigned size) override
+    {
+        const std::uint64_t v = (addr ^ 0x5bd1e995) * 0x9e3779b97f4a7c15ULL;
+        return size == 8 ? v : v & ((std::uint64_t(1) << (8 * size)) - 1);
+    }
+
+    std::uint64_t
+    write(Addr, unsigned, std::uint64_t) override
+    {
+        return 0;
+    }
+};
+
+/** What one step of the reference executor produces. */
+struct StepOutputs
+{
+    bool wroteInt, wroteFp;
+    std::uint64_t destValue;
+    Addr memAddr;
+    std::uint64_t storeValue;
+    Addr nextPc;
+    bool taken;
+    std::uint64_t fflags;
+
+    bool operator==(const StepOutputs &) const = default;
+};
+
+StepOutputs
+stepOutputs(const Program &prog, ArchState state)
+{
+    HashMemory memory;
+    const ExecResult r = step(prog, state, memory);
+    EXPECT_TRUE(r.valid);
+    return {r.wroteInt,   r.wroteFp, r.destValue, r.memAddr,
+            r.storeValue, r.nextPc,  r.taken,     state.fflags()};
+}
+
+std::uint8_t
+encodedSource(Operand file, unsigned idx)
+{
+    if (file == Operand::None)
+        return srcNone;
+    return std::uint8_t(file == Operand::Fp ? idx | srcFpBit : idx);
+}
+
+TEST(OpcodeTable, RolesMatchTheReferenceExecutor)
+{
+    // For every opcode: registers outside the row's roles never move
+    // an output of isa::step, every role does in some trial, and the
+    // use/def model and the commit record's sources follow the roles.
+    Rng rng(0x701e5);
+    const auto fpValue = [&rng] {
+        return std::bit_cast<std::uint64_t>(rng.nextDouble() * 200 - 100);
+    };
+    for (unsigned o = 0; o < unsigned(Opcode::NumOpcodes); ++o) {
+        const Opcode op = Opcode(o);
+        const InstInfo &ii = instInfo(op);
+        const Operand roles[3] = {
+            ii.rs1, ii.rs2, ii.rdIsSource ? ii.rd : Operand::None};
+        bool moved[3] = {false, false, false};
+        for (int trial = 0; trial < 64; ++trial) {
+            // Distinct nonzero register fields.
+            std::uint8_t regs[31];
+            for (unsigned i = 0; i < 31; ++i)
+                regs[i] = std::uint8_t(i + 1);
+            for (unsigned i = 0; i < 3; ++i)
+                std::swap(regs[i], regs[i + rng.nextBounded(31 - i)]);
+            std::int64_t imm = std::int64_t(rng.nextBounded(64)) - 16;
+            if (ii.isBranch || op == Opcode::JAL)
+                imm = 64;
+            const Instruction inst{op, regs[0], regs[1], regs[2], imm};
+            const Program prog(
+                "roles", {inst, Instruction{Opcode::HALT, 0, 0, 0, 0}},
+                {});
+
+            ArchState base;
+            for (unsigned r = 1; r < numIntRegs; ++r)
+                base.writeX(r, rng.chance(0.5) ? rng.next()
+                                               : rng.nextBounded(8));
+            for (unsigned r = 0; r < numFpRegs; ++r)
+                base.writeFBits(r, fpValue());
+            if (rng.chance(0.5)) {  // equal operands flip branches
+                base.writeX(inst.rs2, base.readX(inst.rs1));
+                base.writeFBits(inst.rs2, base.readFBits(inst.rs1));
+            }
+
+            const auto srcs = inst.sources();
+            const analysis::UseDef ud = analysis::useDef(inst);
+            std::uint64_t roleMask = 0;
+            unsigned nRoles = 0;
+            for (const RegOperand &src : srcs)
+                if (src.file != Operand::None) {
+                    ASSERT_LT(nRoles, ud.nUses) << ii.mnemonic;
+                    EXPECT_EQ(ud.uses[nRoles++], analysis::regSlot(src))
+                        << ii.mnemonic;
+                    roleMask |= analysis::slotBit(analysis::regSlot(src));
+                }
+            EXPECT_EQ(ud.nUses, nRoles) << ii.mnemonic;
+            EXPECT_EQ(ud.def, ii.rd == Operand::None
+                                  ? -1
+                                  : int(analysis::regSlot(inst.dest())))
+                << ii.mnemonic;
+
+            for (int engine = 0; engine < 2; ++engine) {
+                ArchState st = base;
+                HashMemory memory;
+                const CommitRecord rec =
+                    makeEngine(engine ? EngineKind::Decoded
+                                      : EngineKind::Reference,
+                               prog)
+                        ->step(st, memory);
+                EXPECT_EQ(rec.srcA, encodedSource(ii.rs1, inst.rs1))
+                    << ii.mnemonic;
+                EXPECT_EQ(rec.srcB, encodedSource(ii.rs2, inst.rs2))
+                    << ii.mnemonic;
+                EXPECT_EQ(rec.srcC, encodedSource(srcs[2].file, inst.rd))
+                    << ii.mnemonic;
+            }
+
+            const StepOutputs want = stepOutputs(prog, base);
+            EXPECT_EQ(want.wroteInt, ii.rd == Operand::Int) << ii.mnemonic;
+            EXPECT_EQ(want.wroteFp, ii.rd == Operand::Fp) << ii.mnemonic;
+            for (unsigned slot = 1; slot < analysis::numRegSlots; ++slot) {
+                ArchState st = base;
+                if (slot < numIntRegs)
+                    st.writeX(slot, st.readX(slot) ^ (rng.next() | 1));
+                else
+                    st.writeFBits(slot - numIntRegs, fpValue());
+                const bool same = stepOutputs(prog, st) == want;
+                if (!(roleMask & analysis::slotBit(slot))) {
+                    EXPECT_TRUE(same) << ii.mnemonic << " reads "
+                                      << analysis::slotName(slot);
+                    continue;
+                }
+                for (unsigned k = 0; k < 3; ++k)
+                    if (srcs[k].file != Operand::None &&
+                        analysis::regSlot(srcs[k]) == slot && !same)
+                        moved[k] = true;
+            }
+        }
+        for (unsigned k = 0; k < 3; ++k)
+            EXPECT_TRUE(roles[k] == Operand::None || moved[k])
+                << ii.mnemonic << " never reads source " << k;
+    }
+}
+
 TEST(InstInfo, ClassesAreConsistent)
 {
     EXPECT_EQ(instInfo(Opcode::LD).cls, InstClass::Load);
@@ -389,8 +569,8 @@ TEST(InstInfo, ClassesAreConsistent)
     EXPECT_TRUE(instInfo(Opcode::JAL).isJump);
     EXPECT_EQ(instInfo(Opcode::FDIV).cls, InstClass::FpDiv);
     EXPECT_EQ(instInfo(Opcode::DIV).cls, InstClass::IntDiv);
-    EXPECT_TRUE(instInfo(Opcode::FADD).writesFpReg);
-    EXPECT_TRUE(instInfo(Opcode::FEQ).writesIntReg);
+    EXPECT_EQ(instInfo(Opcode::FADD).rd, Operand::Fp);
+    EXPECT_EQ(instInfo(Opcode::FEQ).rd, Operand::Int);
     EXPECT_EQ(instInfo(Opcode::LW).memSize, 4u);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Simulation-kernel unit tests: RNG distributions, the event queue,
- * clock domains and the statistics package.
+ * Simulation-kernel unit tests: RNG distributions, clock domains
+ * and the statistics package.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "sim/clock.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -92,65 +91,6 @@ TEST(Rng, ExponentialMean)
     for (int i = 0; i < n; ++i)
         sum += rng.exponential(lambda);
     EXPECT_NEAR(sum / n, 1.0 / lambda, 0.02);
-}
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, EqualTicksFireInInsertionOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(50, [&order, i] { order.push_back(i); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue q;
-    bool fired = false;
-    auto id = q.schedule(10, [&] { fired = true; });
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id));  // double cancel fails
-    q.runAll();
-    EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, RunUntilStopsAtBoundary)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(10, [&] { ++count; });
-    q.schedule(20, [&] { ++count; });
-    q.schedule(30, [&] { ++count; });
-    q.runUntil(20);
-    EXPECT_EQ(count, 2);
-    EXPECT_EQ(q.now(), 20u);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(10, [&] {
-        ++fired;
-        q.scheduleIn(5, [&] { ++fired; });
-    });
-    q.runAll();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(q.now(), 15u);
 }
 
 TEST(ClockDomain, MainCoreFrequencyExact)
