@@ -1,5 +1,9 @@
 #include "core/checker_replay.hh"
 
+#include <algorithm>
+#include <array>
+#include <numeric>
+
 #include "analysis/vuln.hh"
 #include "isa/decoded_run.hh"
 #include "obs/profiler.hh"
@@ -109,6 +113,39 @@ instHitVerdict(const analysis::VulnAnalysis &vuln,
 }
 
 /**
+ * The targeted events of one quiet run (no hook called), counted
+ * where the per-event path would have consumed them, so each injector
+ * can account its share afterwards.
+ */
+struct QuietTally
+{
+    /** Instructions that reached the injection hook, per class. */
+    std::array<std::uint64_t, std::size_t(isa::InstClass::NumClasses)>
+        hooked{};
+    /** Log entries that reached the corruption hook. */
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+
+    /** The targeted events @p injector saw in this run. */
+    std::uint64_t
+    eventsFor(const faults::FaultInjector &injector) const
+    {
+        const faults::FaultConfig &c = injector.config();
+        switch (injector.kind()) {
+          case faults::FaultKind::LogBitFlip:
+            return (c.targetLoads ? loads : 0) +
+                   (c.targetStores ? stores : 0);
+          case faults::FaultKind::FunctionalUnit:
+            return hooked[std::size_t(c.targetClass)];
+          case faults::FaultKind::RegisterBitFlip:
+            return std::accumulate(hooked.begin(), hooked.end(),
+                                   std::uint64_t(0));
+        }
+        return 0;
+    }
+};
+
+/**
  * The checker's data path: a queue view over the segment's log
  * entries.  Any skew between the checker's memory behaviour and the
  * recorded stream is a divergence.
@@ -167,6 +204,13 @@ class LogReplayMemory : public isa::MemIf
         return entry->oldValue;
     }
 
+    /**
+     * Quiet mode (non-null @p tally): count each entry that reaches
+     * the corruption hook in @p tally instead of calling the
+     * injectors.  nullptr restores per-event injection.
+     */
+    void setQuiet(QuietTally *tally) { quiet_ = tally; }
+
     bool diverged() const { return diverged_; }
     DetectReason reason() const { return reason_; }
     std::size_t consumed() const { return index_; }
@@ -185,6 +229,10 @@ class LogReplayMemory : public isa::MemIf
     {
         // next() has already advanced, so the entry being consumed
         // is index_ - 1; chip mode maps it onto a physical log row.
+        if (quiet_) {
+            ++(is_load ? quiet_->loads : quiet_->stores);
+            return value;
+        }
         const std::uint64_t entry_index = index_ - 1;
         for (auto &injector : plan_.injectors()) {
             faults::FaultHit hit =
@@ -214,6 +262,7 @@ class LogReplayMemory : public isa::MemIf
     const analysis::VulnAnalysis *vuln_;
     const isa::Instruction *curInst_ = nullptr;
     std::size_t curIdx_ = 0;
+    QuietTally *quiet_ = nullptr;
     std::size_t index_ = 0;
     bool diverged_ = false;
     DetectReason reason_ = DetectReason::None;
@@ -221,41 +270,29 @@ class LogReplayMemory : public isa::MemIf
 
 } // namespace
 
-std::uint64_t
-applyInstructionFaults(
-    faults::FaultPlan &plan, const isa::Instruction &inst,
-    const isa::ExecResult &r, isa::ArchState &state,
-    const std::function<void(const faults::FaultHit &)> &on_hit,
-    const analysis::VulnAnalysis *vuln, std::size_t inst_idx)
+void
+detail::landInstructionHit(const faults::FaultInjector &injector,
+                           faults::FaultHit &hit,
+                           const isa::ExecResult &r,
+                           isa::ArchState &state,
+                           const analysis::VulnAnalysis *vuln,
+                           std::size_t inst_idx)
 {
-    std::uint64_t fired = 0;
-    for (auto &injector : plan.injectors()) {
-        faults::FaultHit hit =
-            injector.onInstruction(inst, r.wroteInt || r.wroteFp);
-        if (!hit.fires)
-            continue;
-        ++fired;
-        if (vuln)
-            hit.verdict =
-                instHitVerdict(*vuln, injector, hit, r, inst_idx);
-        if (on_hit)
-            on_hit(hit);
-        if (injector.kind() == faults::FaultKind::FunctionalUnit) {
-            // Corrupt the register the instruction just wrote.
-            if (r.wroteInt)
-                state.writeX(r.rd, applyHit(hit, state.readX(r.rd)));
-            else if (r.wroteFp)
-                state.writeFBits(r.rd,
-                                 applyHit(hit, state.readFBits(r.rd)));
-        } else if (hit.hasStuck) {
-            state.writeBit(injector.config().targetCategory,
-                           hit.regIndex, hit.bit, hit.stuckValue);
-        } else {
-            state.flipBit(injector.config().targetCategory,
-                          hit.regIndex, hit.bit);
-        }
+    if (vuln)
+        hit.verdict = instHitVerdict(*vuln, injector, hit, r, inst_idx);
+    if (injector.kind() == faults::FaultKind::FunctionalUnit) {
+        // Corrupt the register the instruction just wrote.
+        if (r.wroteInt)
+            state.writeX(r.rd, applyHit(hit, state.readX(r.rd)));
+        else if (r.wroteFp)
+            state.writeFBits(r.rd, applyHit(hit, state.readFBits(r.rd)));
+    } else if (hit.hasStuck) {
+        state.writeBit(injector.config().targetCategory, hit.regIndex,
+                       hit.bit, hit.stuckValue);
+    } else {
+        state.flipBit(injector.config().targetCategory, hit.regIndex,
+                      hit.bit);
     }
-    return fired;
 }
 
 ReplayOutcome
@@ -292,14 +329,16 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
     // architectural state the loop reads; a corrupted pc is the one
     // thing the loop does not re-read, so the sink stops the run and
     // the loop re-enters it at the new pc.  The sink is compiled once
-    // per case so that fault-free replay carries none of this.
+    // injecting and once quiet (tallying events instead).
     std::shared_ptr<const isa::DecodedProgram> owned;
     if (!decoded) {
         owned = isa::DecodedProgram::get(prog);
         decoded = owned.get();
     }
     const isa::DecodedProgram &dp = *decoded;
-    const auto replay = [&](auto injecting) {
+    QuietTally tally;
+    std::uint64_t mem_left = 0;  // quiet run: loads/stores it may run
+    const auto replay = [&](auto injecting, std::uint64_t max_uops) {
         constexpr bool inject = decltype(injecting)::value;
         const auto sink = [&](const isa::CommitRecord &r) -> bool {
             if (!r.valid) {
@@ -333,6 +372,8 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
                             tallyVerdict(hit.verdict, outcome);
                     },
                     vuln, std::size_t(r.pc / isa::instBytes));
+            else
+                ++tally.hooked[std::size_t(r.cls)];
             // The watchdog is checked before each fetch.
             if (outcome.instructionsExecuted != count &&
                 cycles > watchdog) {
@@ -343,19 +384,62 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
             return !inject || state.pc() == r.nextPc;
         };
         const auto mem_gate = [&](std::uint64_t idx) {
-            if constexpr (inject)
+            if constexpr (inject) {
                 log.setContext(dp.at(idx).inst, idx);
-            return true;
+                return true;
+            } else {
+                if (mem_left == 0)
+                    return false;
+                --mem_left;
+                return true;
+            }
         };
-        while (!outcome.detected && outcome.instructionsExecuted < count)
-            isa::runDecoded(dp, state, log,
-                            count - outcome.instructionsExecuted, sink,
-                            mem_gate);
+        const std::uint64_t end = outcome.instructionsExecuted + max_uops;
+        while (!outcome.detected && outcome.instructionsExecuted < end)
+            if (isa::runDecoded(dp, state, log,
+                                end - outcome.instructionsExecuted, sink,
+                                mem_gate) == isa::RunStop::MemNext)
+                break;
     };
-    if (plan.empty())
-        replay(std::false_type{});
-    else
-        replay(std::true_type{});
+
+    // Skip-ahead: run quiet (no hook called) for as many events as
+    // every injector proves cannot fire, account them, then step
+    // only the instruction that can fire with injection.  An empty
+    // plan is one unbounded quiet run.  Once an injector must see
+    // every event (chip mode, latched, bursting) the rest of the
+    // segment is stepped.
+    std::vector<faults::FaultInjector> &injectors = plan.injectors();
+    while (!outcome.detected && outcome.instructionsExecuted < count) {
+        const std::uint64_t left = count - outcome.instructionsExecuted;
+        std::uint64_t inst_quiet = left;
+        std::uint64_t mem_quiet = faults::FaultInjector::unbounded;
+        bool step_all = false;
+        for (const faults::FaultInjector &injector : injectors) {
+            step_all |= injector.stepsEveryEvent();
+            std::uint64_t &quiet =
+                injector.kind() == faults::FaultKind::LogBitFlip
+                    ? mem_quiet
+                    : inst_quiet;
+            quiet = std::min(quiet, injector.quietEvents());
+        }
+        if (step_all) {
+            replay(std::true_type{}, left);
+            break;
+        }
+        if (inst_quiet > 0) {
+            tally = QuietTally{};
+            mem_left = mem_quiet;
+            log.setQuiet(&tally);
+            replay(std::false_type{}, inst_quiet);
+            log.setQuiet(nullptr);
+            for (faults::FaultInjector &injector : injectors)
+                injector.skipEvents(tally.eventsFor(injector));
+            if (outcome.detected ||
+                outcome.instructionsExecuted == count)
+                break;
+        }
+        replay(std::true_type{}, 1);
+    }
 
     if (!outcome.detected) {
         // End-of-segment checks: the entry stream must be exactly

@@ -24,7 +24,6 @@
 #define PARADOX_CORE_CHECKER_REPLAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/lslog.hh"
@@ -124,6 +123,21 @@ ReplayOutcome replaySegment(const isa::Program &prog,
                             const isa::DecodedProgram *decoded = nullptr,
                             const analysis::VulnAnalysis *vuln = nullptr);
 
+namespace detail
+{
+
+/**
+ * Land @p injector's firing @p hit on @p state after @p r, first
+ * stamping the hit's static verdict when @p vuln is given.
+ */
+void landInstructionHit(const faults::FaultInjector &injector,
+                        faults::FaultHit &hit, const isa::ExecResult &r,
+                        isa::ArchState &state,
+                        const analysis::VulnAnalysis *vuln,
+                        std::size_t inst_idx);
+
+} // namespace detail
+
 /**
  * Apply post-commit architectural fault injection for one committed
  * instruction: every firing injector in @p plan corrupts @p state --
@@ -133,19 +147,35 @@ ReplayOutcome replaySegment(const isa::Program &prog,
  * checker replay so the two domains interpret a commit record's
  * destination fields identically.
  *
- * @param on_hit optional observer invoked for each firing hit
- *        (tracing, weak-cell accounting); the hit carries the static
- *        verdict for its site when @p vuln is given
+ * @param on_hit observer invoked for each firing hit (tracing,
+ *        weak-cell accounting); the hit carries the static verdict
+ *        for its site when @p vuln is given
  * @param vuln optional vulnerability model for verdict stamping
  * @param inst_idx index of @p inst in its program (verdict lookup)
  * @return the number of faults that fired
  */
-std::uint64_t applyInstructionFaults(
-    faults::FaultPlan &plan, const isa::Instruction &inst,
-    const isa::ExecResult &r, isa::ArchState &state,
-    const std::function<void(const faults::FaultHit &)> &on_hit = {},
-    const analysis::VulnAnalysis *vuln = nullptr,
-    std::size_t inst_idx = 0);
+template <typename OnHit>
+std::uint64_t
+applyInstructionFaults(faults::FaultPlan &plan,
+                       const isa::Instruction &inst,
+                       const isa::ExecResult &r, isa::ArchState &state,
+                       OnHit &&on_hit,
+                       const analysis::VulnAnalysis *vuln = nullptr,
+                       std::size_t inst_idx = 0)
+{
+    std::uint64_t fired = 0;
+    for (auto &injector : plan.injectors()) {
+        faults::FaultHit hit =
+            injector.onInstruction(inst, r.wroteInt || r.wroteFp);
+        if (!hit.fires)
+            continue;
+        ++fired;
+        detail::landInstructionHit(injector, hit, r, state, vuln,
+                                   inst_idx);
+        on_hit(hit);
+    }
+    return fired;
+}
 
 } // namespace core
 } // namespace paradox

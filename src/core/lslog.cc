@@ -51,18 +51,13 @@ LogSegment::appendStore(Addr addr, unsigned size, std::uint64_t value,
     bytesUsed_ += entry_bytes;
 }
 
-std::vector<mem::EccWord>
-LineCopy::eccWords() const
+mem::EccWord
+LineCopy::eccWord(std::size_t i) const
 {
-    std::vector<mem::EccWord> ecc;
-    ecc.reserve(bytes.size() / 8);
-    for (std::size_t i = 0; i + 8 <= bytes.size(); i += 8) {
-        std::uint64_t word = 0;
-        for (unsigned b = 0; b < 8; ++b)
-            word |= std::uint64_t(bytes[i + b]) << (8 * b);
-        ecc.push_back(mem::Secded::encode(word));
-    }
-    return ecc;
+    std::uint64_t word = 0;
+    for (unsigned b = 0; b < 8; ++b)
+        word |= std::uint64_t(bytes[i * 8 + b]) << (8 * b);
+    return mem::Secded::encode(word);
 }
 
 void

@@ -49,15 +49,19 @@ struct LineCopy
     Addr lineAddr;
     std::vector<std::uint8_t> bytes;       //!< pre-write line image
 
+    /** Number of 64-bit ECC words covering the line. */
+    std::size_t eccWordCount() const { return bytes.size() / 8; }
+
     /**
-     * The line's per-64-bit ECC words, reproducing the exact bits
-     * the cache would have held alongside the data.  Encoded on
-     * demand: most copies are discarded when their segment verifies,
-     * and only a rollback (or an explicit ECC audit) ever reads the
-     * protection bits, so paying Secded::encode at capture time for
-     * every store's line would be pure overhead on the common path.
+     * The line's ECC word @p i (< eccWordCount()), reproducing the
+     * exact bits the cache would have held alongside the data.
+     * Encoded on demand: most copies are discarded when their segment
+     * verifies, and only a rollback (or an explicit ECC audit) ever
+     * reads the protection bits, so paying Secded::encode at capture
+     * time for every store's line would be pure overhead on the
+     * common path.
      */
-    std::vector<mem::EccWord> eccWords() const;
+    mem::EccWord eccWord(std::size_t i) const;
 };
 
 /**

@@ -890,9 +890,9 @@ System::undoSegmentMemory(const LogSegment &segment)
             // Line copies hold physical addresses; the backing store
             // is virtual, so invert the (linear) mapping.
             Addr addr = it->lineAddr - config_.physicalOffset;
-            for (const mem::EccWord &word : it->eccWords()) {
-                mem::EccDecode decoded = mem::Secded::decode(word);
-                memory_.write(addr, 8, decoded.data);
+            for (std::size_t i = 0; i < it->eccWordCount(); ++i) {
+                memory_.write(addr, 8,
+                              mem::Secded::decode(it->eccWord(i)).data);
                 addr += 8;
             }
             ++ops;

@@ -1,8 +1,9 @@
 #include "faults/fault_model.hh"
 
-#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/logging.hh"
 
 namespace paradox
 {
@@ -127,13 +128,42 @@ FaultInjector::reset()
     resample();
 }
 
+std::uint64_t
+FaultInjector::quietEvents() const
+{
+    if (pinnedElsewhere())
+        return unbounded;
+    if (stepsEveryEvent())
+        return 0;
+    return gap_ == unbounded ? unbounded : gap_ - 1;
+}
+
+void
+FaultInjector::skipEvents(std::uint64_t n)
+{
+    if (n == 0)
+        return;
+    const std::uint64_t quiet = quietEvents();
+    if (quiet == unbounded)
+        return;
+    if (n > quiet)
+        panic("FaultInjector::skipEvents: skipping a possible fire");
+    gap_ -= n;
+}
+
+bool
+FaultInjector::stepsEveryEvent() const
+{
+    return !pinnedElsewhere() &&
+           (chip_ != nullptr || latched_ || burstLeft_ > 0);
+}
+
 bool
 FaultInjector::consumeEvent()
 {
     // A pinned fault is physical to one checker: events replayed on
     // any other core neither fire nor advance the temporal state.
-    if (config_.targetChecker >= 0 &&
-        activeChecker_ != config_.targetChecker)
+    if (pinnedElsewhere())
         return false;
 
     if (config_.persistence == Persistence::Permanent && latched_) {
@@ -149,7 +179,7 @@ FaultInjector::consumeEvent()
         return true;
     }
 
-    if (gap_ == std::numeric_limits<std::uint64_t>::max())
+    if (gap_ == unbounded)
         return false;
     if (--gap_ > 0)
         return false;
@@ -204,8 +234,7 @@ FaultInjector::chipEvent(SiteKind kind, unsigned match,
 {
     FaultHit hit;
     // A pinned source still only speaks for one physical core.
-    if (config_.targetChecker >= 0 &&
-        activeChecker_ != config_.targetChecker)
+    if (pinnedElsewhere())
         return hit;
 
     const auto siteMatches = [&](const WeakCell &cell) {

@@ -50,6 +50,7 @@
 #define PARADOX_FAULTS_FAULT_MODEL_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -202,6 +203,38 @@ class FaultInjector
      */
     FaultHit onInstruction(const isa::Instruction &inst, bool wrote_reg);
 
+    /** quietEvents() of a source that can never fire. */
+    static constexpr std::uint64_t unbounded =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /**
+     * How many upcoming targeted events provably neither fire nor
+     * draw from the RNG: gap - 1 for a transient source, an
+     * unlatched permanent one and an intermittent one outside a
+     * burst; @ref unbounded at rate 0 and for a source pinned to
+     * another checker than the active one; 0 in chip mode, once
+     * latched and inside a burst.  A targeted event is what the
+     * hooks above consume: every instruction (RegisterBitFlip), every
+     * instruction of targetClass whether or not it writes a register
+     * (FunctionalUnit), every targeted load/store entry (LogBitFlip).
+     */
+    std::uint64_t quietEvents() const;
+
+    /**
+     * Account @p n targeted events without calling the hooks, leaving
+     * exactly the state @p n no-fire hook calls would leave.
+     * Requires n <= quietEvents().
+     */
+    void skipEvents(std::uint64_t n);
+
+    /**
+     * Each coming event must go through the hooks, not just the next
+     * one: chip mode, a latched source or an open burst (unless the
+     * source is pinned to another checker).  Replay steps the rest of
+     * the segment event by event then.
+     */
+    bool stepsEveryEvent() const;
+
     /** Total number of faults this injector has fired. */
     std::uint64_t fired() const { return fired_; }
 
@@ -215,6 +248,12 @@ class FaultInjector
     void reset();
 
   private:
+    /** Pinned to a checker other than the one replaying. */
+    bool pinnedElsewhere() const
+    {
+        return config_.targetChecker >= 0 &&
+               activeChecker_ != config_.targetChecker;
+    }
     bool consumeEvent();
     void resample();
     /** Choose (or reuse) the fault site for a firing event. */

@@ -1,6 +1,7 @@
 #include "mem/secded.hh"
 
 #include <array>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -25,41 +26,43 @@ isPowerOfTwo(unsigned v)
 
 struct Layout
 {
-    // dataPos[i]: Hamming position of data bit i.
-    std::array<unsigned, 64> dataPos{};
-    // parityPos[j]: Hamming position of parity bit j (2^j).
-    std::array<unsigned, 7> parityPos{};
-    // posKind[p]: data index + 1, or 0 for parity positions.
+    // posToData[p]: data index + 1, or 0 for parity positions.
     std::array<unsigned, hammingPositions + 1> posToData{};
+    // coverMask[j]: the data bits Hamming parity bit j (position 2^j)
+    // covers -- those whose position has bit j set.
+    std::array<std::uint64_t, 7> coverMask{};
 
     constexpr Layout()
     {
-        unsigned d = 0, p = 0;
+        unsigned d = 0;
         for (unsigned pos = 1; pos <= hammingPositions; ++pos) {
-            if (isPowerOfTwo(pos)) {
-                parityPos[p++] = pos;
-                posToData[pos] = 0;
-            } else {
-                dataPos[d] = pos;
-                posToData[pos] = d + 1;
-                ++d;
-            }
+            if (isPowerOfTwo(pos))
+                continue;
+            posToData[pos] = d + 1;
+            for (unsigned j = 0; j < 7; ++j)
+                if (pos & (1u << j))
+                    coverMask[j] |= std::uint64_t(1) << d;
+            ++d;
         }
     }
 };
 
 constexpr Layout layout{};
 
-/** Expand an EccWord into codeword bits indexed by Hamming position. */
-std::array<bool, hammingPositions + 1>
-expand(const EccWord &w)
+bool
+parity(std::uint64_t v)
 {
-    std::array<bool, hammingPositions + 1> bits{};
-    for (unsigned i = 0; i < 64; ++i)
-        bits[layout.dataPos[i]] = (w.data >> i) & 1;
+    return std::popcount(v) & 1;
+}
+
+/** The seven Hamming parity bits of @p data (check bits 0..6). */
+unsigned
+hammingCheck(std::uint64_t data)
+{
+    unsigned check = 0;
     for (unsigned j = 0; j < 7; ++j)
-        bits[layout.parityPos[j]] = (w.check >> j) & 1;
-    return bits;
+        check |= unsigned(parity(data & layout.coverMask[j])) << j;
+    return check;
 }
 
 } // namespace
@@ -67,39 +70,20 @@ expand(const EccWord &w)
 EccWord
 Secded::encode(std::uint64_t data)
 {
-    EccWord w{data, 0};
-    // Parity bit j covers all positions with bit j set in their index.
-    for (unsigned j = 0; j < 7; ++j) {
-        bool parity = false;
-        for (unsigned i = 0; i < 64; ++i) {
-            if (layout.dataPos[i] & (1u << j))
-                parity ^= (data >> i) & 1;
-        }
-        w.check |= std::uint8_t(parity) << j;
-    }
+    const unsigned check = hammingCheck(data);
     // Overall parity over all 71 Hamming bits.
-    bool overall = false;
-    auto bits = expand(w);
-    for (unsigned pos = 1; pos <= hammingPositions; ++pos)
-        overall ^= bits[pos];
-    w.check |= std::uint8_t(overall) << 7;
-    return w;
+    const bool overall = parity(data) ^ parity(check);
+    return EccWord{data, std::uint8_t(check | unsigned(overall) << 7)};
 }
 
 EccDecode
 Secded::decode(const EccWord &word)
 {
-    auto bits = expand(word);
-
-    unsigned syndrome = 0;
-    bool overall = (word.check >> 7) & 1;
-    for (unsigned pos = 1; pos <= hammingPositions; ++pos) {
-        if (bits[pos]) {
-            syndrome ^= pos;
-            overall ^= true;
-        }
-    }
-    // 'overall' is now the parity of all 72 bits: 0 for even weight.
+    // Bit j of the syndrome XORs every covered position: the data
+    // bits under coverMask[j] and parity bit j itself.
+    const unsigned syndrome = hammingCheck(word.data) ^ (word.check & 0x7f);
+    // Parity of all 72 bits: 0 for even weight.
+    const bool overall = parity(word.data) ^ parity(word.check);
 
     EccDecode result{word.data, EccStatus::Ok, 0};
 
@@ -122,16 +106,13 @@ Secded::decode(const EccWord &word)
 
     // Single-bit error at Hamming position 'syndrome'.
     result.status = EccStatus::Corrected;
-    unsigned data_idx = layout.posToData[syndrome];
+    const unsigned data_idx = layout.posToData[syndrome];
     if (data_idx != 0) {
         result.data = word.data ^ (std::uint64_t(1) << (data_idx - 1));
         result.flippedBit = data_idx - 1;
     } else {
-        // A parity bit flipped; data is intact.
-        for (unsigned j = 0; j < 7; ++j) {
-            if (layout.parityPos[j] == syndrome)
-                result.flippedBit = 64 + j;
-        }
+        // A parity bit (position 2^j) flipped; data is intact.
+        result.flippedBit = 64 + unsigned(std::countr_zero(syndrome));
     }
     return result;
 }

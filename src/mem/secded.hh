@@ -8,6 +8,8 @@
  * recalculating it (section IV-D).  This is a real single-error-
  * correcting, double-error-detecting extended Hamming code over
  * 64-bit words: 7 Hamming parity bits plus one overall parity bit.
+ * Encode and decode are word-parallel (one masked parity per check
+ * bit); tests/test_secded.cc pins them to a bit-serial oracle.
  */
 
 #ifndef PARADOX_MEM_SECDED_HH

@@ -55,10 +55,9 @@ TEST(LogSegment, LineCopiesCarryDecodableEcc)
     EXPECT_TRUE(seg.hasLineCopy(0x1000));
     EXPECT_FALSE(seg.hasLineCopy(0x1040));
     const LineCopy &copy = seg.lineCopies()[0];
-    const std::vector<mem::EccWord> ecc = copy.eccWords();
-    ASSERT_EQ(ecc.size(), 8u);
+    ASSERT_EQ(copy.eccWordCount(), 8u);
     for (std::size_t i = 0; i < 8; ++i) {
-        auto d = mem::Secded::decode(ecc[i]);
+        auto d = mem::Secded::decode(copy.eccWord(i));
         EXPECT_EQ(d.status, mem::EccStatus::Ok);
         std::uint64_t expect = 0;
         for (unsigned k = 0; k < 8; ++k)
@@ -483,7 +482,10 @@ class OracleLog : public isa::MemIf
             const faults::FaultHit hit =
                 injector.onLogEntry(is_load, index_ - 1);
             if (hit.fires) {
-                value ^= std::uint64_t(1) << hit.bit;
+                const std::uint64_t mask = std::uint64_t(1) << hit.bit;
+                value = !hit.hasStuck     ? value ^ mask
+                        : hit.stuckValue ? value | mask
+                                         : value & ~mask;
                 ++outcome_.faultsInjected;
             }
         }
@@ -534,7 +536,8 @@ oracleReplay(const isa::Program &prog, const LogSegment &segment,
             break;
         }
         outcome.faultsInjected +=
-            applyInstructionFaults(plan, *inst, r, state);
+            applyInstructionFaults(plan, *inst, r, state,
+                                   [](const faults::FaultHit &) {});
     }
     if (!outcome.detected) {
         cycles += final_compare_cycles;
@@ -577,6 +580,45 @@ recordSegments(const isa::Program &prog, unsigned seg_len,
     return segs;
 }
 
+/**
+ * Replay @p segs (segment i on checker i % @p checkers) under two
+ * copies of the plan @p make builds, one through replaySegment and
+ * one through the oracle, and require the same outcome and the same
+ * per-plan fire count after every segment.  Returns the faults the
+ * replays injected.
+ */
+template <typename MakePlan>
+std::uint64_t
+expectReplayMatchesOracle(const std::string &what,
+                          const isa::Program &prog,
+                          const std::vector<LogSegment> &segs,
+                          MakePlan make, unsigned checkers = 16)
+{
+    faults::FaultPlan plan = make();
+    faults::FaultPlan oracle_plan = make();
+    cpu::CheckerTiming timing, oracle_timing;
+    std::uint64_t fired = 0;
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+        const unsigned id = unsigned(i % checkers);
+        const ReplayOutcome got =
+            replaySegment(prog, segs[i], id, timing, plan, 16);
+        const ReplayOutcome want = oracleReplay(
+            prog, segs[i], id, oracle_timing, oracle_plan, 16);
+        const std::string where = what + " segment " + std::to_string(i);
+        EXPECT_EQ(got.detected, want.detected) << where;
+        EXPECT_EQ(got.reason, want.reason) << where;
+        EXPECT_EQ(got.cyclesAtDetection, want.cyclesAtDetection)
+            << where;
+        EXPECT_EQ(got.totalCycles, want.totalCycles) << where;
+        EXPECT_EQ(got.instructionsExecuted, want.instructionsExecuted)
+            << where;
+        EXPECT_EQ(got.faultsInjected, want.faultsInjected) << where;
+        EXPECT_EQ(plan.totalFired(), oracle_plan.totalFired()) << where;
+        fired += got.faultsInjected;
+    }
+    return fired;
+}
+
 TEST(Replay, InjectedFaultsMatchTheStepOracle)
 {
     struct Kind
@@ -587,6 +629,7 @@ TEST(Replay, InjectedFaultsMatchTheStepOracle)
         double rate;
     };
     using faults::FaultKind;
+    using faults::Persistence;
     using isa::RegCategory;
     const Kind kinds[] = {
         {"fu", FaultKind::FunctionalUnit, RegCategory::Integer, 0.05},
@@ -597,46 +640,117 @@ TEST(Replay, InjectedFaultsMatchTheStepOracle)
         {"pc", FaultKind::RegisterBitFlip, RegCategory::Misc, 0.002},
         {"log-entry", FaultKind::LogBitFlip, RegCategory::Integer, 0.05},
     };
+    const std::pair<const char *, Persistence> persistences[] = {
+        {"transient", Persistence::Transient},
+        {"intermittent", Persistence::Intermittent},
+        {"permanent", Persistence::Permanent},
+    };
     for (const char *name : {"bitcount", "lbm"}) {
         const auto w = workloads::build(name, 1);
         const std::vector<LogSegment> segs =
             recordSegments(w.program, 300, 24);
         for (const Kind &k : kinds) {
-            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-                faults::FaultConfig fc;
-                fc.kind = k.kind;
-                fc.targetCategory = k.category;
-                fc.rate = k.rate;
-                fc.seed = seed;
-                faults::FaultPlan plan, oracle_plan;
-                plan.add(fc);
-                oracle_plan.add(fc);
-                cpu::CheckerTiming timing, oracle_timing;
-                std::uint64_t fired = 0;
-                for (std::size_t i = 0; i < segs.size(); ++i) {
-                    const unsigned id = unsigned(i % 16);
-                    const ReplayOutcome got = replaySegment(
-                        w.program, segs[i], id, timing, plan, 16);
-                    const ReplayOutcome want = oracleReplay(
-                        w.program, segs[i], id, oracle_timing,
-                        oracle_plan, 16);
-                    const std::string where =
-                        std::string(name) + " " + k.name + " seed " +
-                        std::to_string(seed) + " segment " +
-                        std::to_string(i);
-                    EXPECT_EQ(got.detected, want.detected) << where;
-                    EXPECT_EQ(got.reason, want.reason) << where;
-                    EXPECT_EQ(got.cyclesAtDetection,
-                              want.cyclesAtDetection) << where;
-                    EXPECT_EQ(got.totalCycles, want.totalCycles) << where;
-                    EXPECT_EQ(got.instructionsExecuted,
-                              want.instructionsExecuted) << where;
-                    EXPECT_EQ(got.faultsInjected, want.faultsInjected)
-                        << where;
-                    fired += got.faultsInjected;
+            std::uint64_t pinned_fired = 0;
+            for (const auto &[pname, persistence] : persistences) {
+                for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                    faults::FaultConfig fc;
+                    fc.kind = k.kind;
+                    fc.targetCategory = k.category;
+                    fc.rate = k.rate;
+                    fc.seed = seed;
+                    fc.persistence = persistence;
+                    const std::string what =
+                        std::string(name) + " " + k.name + " " + pname +
+                        " seed " + std::to_string(seed);
+                    const auto make = [&fc] {
+                        faults::FaultPlan plan;
+                        plan.add(fc);
+                        return plan;
+                    };
+                    EXPECT_GT(expectReplayMatchesOracle(what, w.program,
+                                                        segs, make),
+                              0u)
+                        << what;
+                    // Pinned to checker 1 of 4: replays on checkers
+                    // 0, 2 and 3 neither fire nor advance it.
+                    fc.targetChecker = 1;
+                    pinned_fired += expectReplayMatchesOracle(
+                        what + " pinned", w.program, segs, make, 4);
                 }
-                EXPECT_GT(fired, 0u) << name << " " << k.name;
             }
+            EXPECT_GT(pinned_fired, 0u) << name << " " << k.name;
+        }
+        // The figure 8/9 pair (register + log), ambient and pinned.
+        for (const auto &[pname, persistence] : persistences) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                const std::string what = std::string(name) +
+                                         " uniform " + pname + " seed " +
+                                         std::to_string(seed);
+                for (int pin : {-1, 2})
+                    EXPECT_GT(expectReplayMatchesOracle(
+                                  what + " pin " + std::to_string(pin),
+                                  w.program, segs,
+                                  [&] {
+                                      return faults::uniformPlan(
+                                          0.002, seed, persistence, pin);
+                                  },
+                                  4),
+                              0u)
+                        << what;
+            }
+        }
+    }
+}
+
+TEST(Replay, SparseFaultsMatchTheStepOracleAcrossSegments)
+{
+    // At 1e-4 one geometric gap spans dozens of 300-instruction
+    // segments, so the skip-ahead accounting carries across replays.
+    const auto w = workloads::build("bitcount", 1);
+    const std::vector<LogSegment> segs =
+        recordSegments(w.program, 300, 240);
+    ASSERT_EQ(segs.size(), 240u);
+    std::uint64_t fired = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        fired += expectReplayMatchesOracle(
+            "bitcount uniform 1e-4 seed " + std::to_string(seed),
+            w.program, segs,
+            [seed] { return faults::uniformPlan(1e-4, seed); });
+    EXPECT_GT(fired, 0u);
+}
+
+TEST(Replay, ChipFaultsMatchTheStepOracle)
+{
+    // Chip mode consults the weak-cell map on every event: the replay
+    // must keep stepping each one.
+    faults::ChipConfig cc;
+    cc.chipSeed = 3;
+    cc.weakCells = 256;
+    const faults::ChipModel chip(cc);
+    const auto w = workloads::build("bitcount", 1);
+    const std::vector<LogSegment> segs =
+        recordSegments(w.program, 300, 24);
+    for (const faults::Persistence persistence :
+         {faults::Persistence::Transient,
+          faults::Persistence::Intermittent,
+          faults::Persistence::Permanent}) {
+        for (int pin : {-1, 1}) {
+            const std::string what =
+                std::string("chip ") +
+                faults::persistenceName(persistence) + " pin " +
+                std::to_string(pin);
+            EXPECT_GT(expectReplayMatchesOracle(
+                          what, w.program, segs,
+                          [&] {
+                              faults::FaultPlan plan = faults::chipPlan(
+                                  7, persistence, pin);
+                              plan.attachChip(&chip);
+                              plan.setVoltage(0.80);
+                              return plan;
+                          },
+                          4),
+                      0u)
+                << what;
         }
     }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "faults/fault_model.hh"
 #include "faults/undervolt_model.hh"
 
@@ -140,6 +142,120 @@ TEST(FaultInjector, ResetReplaysIdenticalSequence)
     a.reset();
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(a.onInstruction(inst, true).fires, first[i]) << i;
+}
+
+/** One targeted event of @p injector's kind. */
+FaultHit
+fireEvent(FaultInjector &injector, std::uint64_t index)
+{
+    if (injector.kind() == FaultKind::LogBitFlip)
+        return injector.onLogEntry(index % 3 != 0, index);
+    return injector.onInstruction(makeInst(isa::Opcode::ADD), true);
+}
+
+TEST(FaultInjector, SkipEventsMatchesPerEventStepping)
+{
+    // An injector that skips up to quietEvents() at a time and steps
+    // the rest must reproduce pure per-event stepping: the same
+    // firing events at the same sites, the same fire count.
+    for (const Persistence persistence :
+         {Persistence::Transient, Persistence::Intermittent,
+          Persistence::Permanent}) {
+        for (const FaultKind kind :
+             {FaultKind::RegisterBitFlip, FaultKind::FunctionalUnit,
+              FaultKind::LogBitFlip}) {
+            FaultConfig fc;
+            fc.kind = kind;
+            fc.rate = 0.01;
+            fc.seed = 17;
+            fc.persistence = persistence;
+            fc.burstLength = 8;
+            FaultInjector stepped(fc), skipping(fc);
+            Rng pick(3);
+            const std::uint64_t events = 20000;
+            std::uint64_t skipped = 0;
+            for (std::uint64_t e = 0; e < events;) {
+                const std::uint64_t quiet = skipping.quietEvents();
+                if (quiet > 0) {
+                    // Skip all of the quiet run, or a random part.
+                    std::uint64_t k = std::min(quiet, events - e);
+                    if (pick.chance(0.5))
+                        k = 1 + pick.nextBounded(k);
+                    skipping.skipEvents(k);
+                    for (std::uint64_t i = 0; i < k; ++i)
+                        ASSERT_FALSE(fireEvent(stepped, e + i).fires)
+                            << "a skipped event fired at " << e + i;
+                    e += k;
+                    skipped += k;
+                    continue;
+                }
+                const FaultHit want = fireEvent(stepped, e);
+                const FaultHit got = fireEvent(skipping, e);
+                ASSERT_EQ(got.fires, want.fires) << "event " << e;
+                EXPECT_EQ(got.bit, want.bit) << "event " << e;
+                EXPECT_EQ(got.regIndex, want.regIndex) << "event " << e;
+                ++e;
+            }
+            EXPECT_EQ(skipping.fired(), stepped.fired());
+            EXPECT_EQ(skipping.latched(), stepped.latched());
+            EXPECT_GT(stepped.fired(), 0u);
+            // A permanent source stops skipping once it latches.
+            EXPECT_GT(skipped, persistence == Persistence::Permanent
+                                   ? 0
+                                   : events / 2);
+        }
+    }
+}
+
+TEST(FaultInjector, QuietEventsBoundsEachState)
+{
+    FaultConfig fc;
+    fc.kind = FaultKind::RegisterBitFlip;
+    fc.rate = 0.0;
+    EXPECT_EQ(FaultInjector(fc).quietEvents(), FaultInjector::unbounded);
+
+    // A latched permanent source must see every event.
+    fc.rate = 1.0;
+    fc.persistence = Persistence::Permanent;
+    FaultInjector stuck(fc);
+    EXPECT_EQ(stuck.quietEvents(), 0u);
+    ASSERT_TRUE(stuck.onInstruction(makeInst(isa::Opcode::ADD), true)
+                    .fires);
+    EXPECT_TRUE(stuck.latched());
+    EXPECT_TRUE(stuck.stepsEveryEvent());
+    EXPECT_EQ(stuck.quietEvents(), 0u);
+
+    // Pinned to checker 2: unbounded while another checker replays,
+    // latched again once checker 2 does.
+    fc.targetChecker = 2;
+    FaultInjector pinned(fc);
+    pinned.setActiveChecker(2);
+    ASSERT_TRUE(pinned.onInstruction(makeInst(isa::Opcode::ADD), true)
+                    .fires);
+    pinned.setActiveChecker(0);
+    EXPECT_EQ(pinned.quietEvents(), FaultInjector::unbounded);
+    EXPECT_FALSE(pinned.stepsEveryEvent());
+    pinned.setActiveChecker(2);
+    EXPECT_EQ(pinned.quietEvents(), 0u);
+
+    // An open burst is stepped event by event.
+    fc.targetChecker = -1;
+    fc.persistence = Persistence::Intermittent;
+    FaultInjector burst(fc);
+    ASSERT_TRUE(burst.onInstruction(makeInst(isa::Opcode::ADD), true)
+                    .fires);
+    EXPECT_TRUE(burst.stepsEveryEvent());
+    EXPECT_EQ(burst.quietEvents(), 0u);
+
+    // Chip mode consults the weak-cell map on every event.
+    ChipConfig cc;
+    ChipModel chip(cc);
+    fc.rate = 0.0;
+    fc.persistence = Persistence::Transient;
+    FaultInjector mapped(fc);
+    mapped.attachChip(&chip);
+    EXPECT_EQ(mapped.quietEvents(), 0u);
+    EXPECT_TRUE(mapped.stepsEveryEvent());
 }
 
 TEST(FaultPlan, UniformPlanHasBothSources)
