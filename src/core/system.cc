@@ -747,7 +747,7 @@ System::drainChecks()
 bool
 System::maybeEccEvent(const isa::CommitRecord &r)
 {
-    if (!r.isLoad)
+    if (!eccEventArmed(r))
         return false;
     if (eccGap_ != std::numeric_limits<std::uint64_t>::max() &&
         --eccGap_ == 0) {
@@ -1268,12 +1268,13 @@ System::commit(const isa::CommitRecord &r)
     const bool logging = config_.mode != Mode::Baseline;
 
     if (logging) {
-        logResult(r);
+        if (r.isLoad || r.isStore)
+            logResult(r);
         ++instsInSegment_;
     }
     ++executed_;
     ++netIndex_;
-    if (maybeEccEvent(r)) {
+    if (eccEventArmed(r) && maybeEccEvent(r)) {
         // Machine check: squash the in-flight instruction stream and
         // restart the open segment from its checkpoint.
         machineCheckRollback();

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -356,6 +357,19 @@ class System
     {
         return config_.mmioSize != 0 && addr >= config_.mmioBase &&
                addr < config_.mmioBase + config_.mmioSize;
+    }
+
+    /**
+     * True iff maybeEccEvent() has work for @p r: a load while either
+     * the corrected-upset or the DUE gap is armed.  The commit loop
+     * tests this inline, so most records make no call at all.
+     */
+    bool
+    eccEventArmed(const isa::CommitRecord &r) const
+    {
+        constexpr std::uint64_t disarmed =
+            std::numeric_limits<std::uint64_t>::max();
+        return r.isLoad && (eccGap_ != disarmed || dueGap_ != disarmed);
     }
 
     /**

@@ -29,8 +29,8 @@ CheckerTiming::CheckerTiming(const CheckerParams &params)
 }
 
 Cycles
-CheckerTiming::instCycles(unsigned id, Addr pc,
-                          const isa::Instruction &inst)
+CheckerTiming::instCyclesSlow(unsigned id, Addr pc,
+                              const isa::Instruction &inst)
 {
     if (id >= l0_.size())
         panic("CheckerTiming: checker id out of range");

@@ -61,8 +61,22 @@ class CheckerTiming
     CheckerTiming() : CheckerTiming(CheckerParams{}) {}
     explicit CheckerTiming(const CheckerParams &params);
 
-    /** Cycles checker @p id spends on @p inst fetched from @p pc. */
-    Cycles instCycles(unsigned id, Addr pc, const isa::Instruction &inst);
+    /**
+     * Cycles checker @p id spends on @p inst fetched from @p pc.  A
+     * replayed segment is sequential code, so a fetch from the line
+     * the L0 served last is inline (mem::Cache::tryReadHit); the rest
+     * -- other L0 lines, the shared L1, an out-of-range @p id -- is
+     * instCyclesSlow().
+     */
+    Cycles
+    instCycles(unsigned id, Addr pc, const isa::Instruction &inst)
+    {
+        if (id < l0_.size() && l0_[id]->tryReadHit(pc, lruClock_ + 1)) {
+            ++lruClock_;
+            return isa::checkerExecCycles(inst.info().cls);
+        }
+        return instCyclesSlow(id, pc, inst);
+    }
 
     /** Power gating flushed checker @p id's L0 I-cache. */
     void powerGated(unsigned id);
@@ -84,6 +98,10 @@ class CheckerTiming
     void reset();
 
   private:
+    /** instCycles() past the same-line L0 hit: the full fetch path. */
+    Cycles instCyclesSlow(unsigned id, Addr pc,
+                          const isa::Instruction &inst);
+
     CheckerParams params_;
     ClockDomain clock_;
     std::vector<std::unique_ptr<mem::Cache>> l0_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/profiler.hh"
 #include "sim/logging.hh"
 
 namespace paradox
@@ -66,11 +65,7 @@ MainCore::advance(const isa::CommitRecord &r, Addr fetch_pc,
 
     // ---- Fetch ----------------------------------------------------
     Tick fetch_start = std::max(fetchReadyAt_, nextFetchSlot_);
-    Tick fetch_done;
-    {
-        PARADOX_PROF_SCOPE("mem");
-        fetch_done = hierarchy_.instFetch(fetch_pc, fetch_start);
-    }
+    Tick fetch_done = hierarchy_.instFetch(fetch_pc, fetch_start);
     // Bandwidth: 'width' sequential fetches per cycle; an I-cache
     // miss additionally holds the in-order frontend.
     nextFetchSlot_ = std::max(fetch_start + slotTicks(),
@@ -96,7 +91,6 @@ MainCore::advance(const isa::CommitRecord &r, Addr fetch_pc,
     if (is_mem) {
         Tick issue = ready;
         if (r.isLoad) {
-            PARADOX_PROF_SCOPE("mem");
             for (;;) {
                 auto d = hierarchy_.dataAccess(mem_addr, fetch_pc, false,
                                                issue, mem::noPin, stamp);
@@ -150,7 +144,6 @@ MainCore::advance(const isa::CommitRecord &r, Addr fetch_pc,
 
     // ---- Branch resolution ----------------------------------------
     if (r.isBranch || r.isJump) {
-        PARADOX_PROF_SCOPE("bpred");
         predictor_.predict(fetch_pc, *r.inst);
         const bool actually_taken = r.isJump ? true : r.taken;
         const bool miss =
@@ -174,7 +167,6 @@ MainCore::advance(const isa::CommitRecord &r, Addr fetch_pc,
 
     // ---- Stores hit the cache at commit ----------------------------
     if (r.isStore) {
-        PARADOX_PROF_SCOPE("mem");
         Tick at = commit;
         for (;;) {
             auto d = hierarchy_.dataAccess(mem_addr, fetch_pc, true, at,

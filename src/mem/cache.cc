@@ -55,11 +55,8 @@ Cache::access(Addr addr, bool is_write, Tick now, std::uint64_t pin_seg,
     const std::uint64_t tag = lineId >> setShift_;
     const std::size_t set = lineId & setMask_;
 
-    Line *line = nullptr;
-    if (lineId == mruLineId_ && mruLine_ && mruLine_->valid &&
-        mruLine_->tag == tag) {
-        line = mruLine_;
-    } else {
+    Line *line = mruHit(lineId);
+    if (!line) {
         Line *base = &lines_[set * params_.assoc];
         for (unsigned w = 0; w < params_.assoc; ++w) {
             if (base[w].valid && base[w].tag == tag) {

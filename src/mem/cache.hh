@@ -83,6 +83,24 @@ class Cache
                              std::uint64_t pin_seg = noPin,
                              std::uint64_t stamp = 0);
 
+    /**
+     * The inline same-line read hit: exactly access(@p addr, false,
+     * @p now) when @p addr falls in the line the previous access
+     * resolved and that line is still valid -- the same hit test,
+     * ++hits, and the same LRU stamp.  Anything else returns false
+     * and changes nothing; the caller then takes access()'s scan.
+     */
+    bool
+    tryReadHit(Addr addr, Tick now)
+    {
+        Line *line = mruHit(addr >> lineShift_);
+        if (!line)
+            return false;
+        ++hits_;
+        line->lastUsed = now;
+        return true;
+    }
+
     /** Install a line without demand semantics (prefetch fill). */
     void fill(Addr addr, Tick now);
 
@@ -144,6 +162,18 @@ class Cache
         std::uint64_t stamp = ~std::uint64_t(0);
     };
 
+    /** The memoized line if it holds line @p line_id, else null.
+     *  The line id fixes the set, so valid + tag is exactly the
+     *  scan's hit condition. */
+    Line *
+    mruHit(std::uint64_t line_id) const
+    {
+        return line_id == mruLineId_ && mruLine_ && mruLine_->valid &&
+                       mruLine_->tag == (line_id >> setShift_)
+                   ? mruLine_
+                   : nullptr;
+    }
+
     std::uint64_t tagOf(Addr addr) const;
     std::size_t setOf(Addr addr) const;
     Addr lineAddr(std::uint64_t tag, std::size_t set) const;
@@ -159,10 +189,9 @@ class Cache
     std::vector<Line> lines_;   //!< numSets_ * assoc, set-major
     /**
      * Last line resolved by access(): consecutive accesses to one
-     * line (instruction fetch, stack traffic) skip the way scan.  The
-     * memo is self-validating -- the line id fixes the set, and the
-     * cached way's valid+tag check is exactly the scan's hit
-     * condition -- so hit/miss counts, LRU order, and pin state are
+     * line (instruction fetch, stack traffic) skip the way scan, and
+     * tryReadHit() skips the call.  The memo is self-validating
+     * (mruHit()), so hit/miss counts, LRU order, and pin state are
      * bit-identical with or without it.  lines_ never reallocates
      * after construction.
      */

@@ -68,7 +68,7 @@ CacheHierarchy::l2Access(Addr addr, Addr pc, bool is_write, Tick start,
 }
 
 Tick
-CacheHierarchy::instFetch(Addr pc, Tick now)
+CacheHierarchy::instFetchSlow(Addr pc, Tick now)
 {
     CacheAccessResult r = l1i_.access(pc, false, now);
     Tick complete = now + cycles(l1i_.hitCycles());

@@ -70,8 +70,19 @@ class CacheHierarchy
                    const ClockDomain &clock, Cache *shared_l2,
                    Dram *shared_dram);
 
-    /** Fetch-side access; returns the completion tick. */
-    Tick instFetch(Addr pc, Tick now);
+    /**
+     * Fetch-side access; returns the completion tick.  Sequential
+     * code almost always hits the line the previous fetch used, so
+     * that case is inline (Cache::tryReadHit); the rest is
+     * instFetchSlow().
+     */
+    Tick
+    instFetch(Addr pc, Tick now)
+    {
+        if (l1i_.tryReadHit(pc, now))
+            return now + cycles(l1i_.hitCycles());
+        return instFetchSlow(pc, now);
+    }
 
     /**
      * Data-side access at @p now.
@@ -113,6 +124,9 @@ class CacheHierarchy
 
   private:
     Tick cycles(unsigned n) const { return clock_.cyclesToTicks(n); }
+
+    /** instFetch() past the same-line hit: the full L1I lookup. */
+    Tick instFetchSlow(Addr pc, Tick now);
 
     /** L2 lookup shared by both sides; returns completion tick. */
     Tick l2Access(Addr addr, Addr pc, bool is_write, Tick start,

@@ -24,18 +24,13 @@ Tlb::Tlb(const TlbParams &params, Addr physical_base)
 }
 
 Translation
-Tlb::translate(Addr vaddr)
+Tlb::translateSlow(Addr vaddr)
 {
     ++clock_;
     Translation result;
     result.paddr = vaddr + base_;
 
     const std::uint64_t vpn = vaddr >> pageShift_;
-    if (mru_ && mru_->valid && mru_->vpn == vpn) {
-        mru_->lastUsed = clock_;
-        ++hits_;
-        return result;
-    }
     Entry *set = &entries_[(vpn & (sets_ - 1)) * params_.assoc];
 
     for (unsigned w = 0; w < params_.assoc; ++w) {

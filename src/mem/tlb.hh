@@ -58,8 +58,22 @@ class Tlb
   public:
     Tlb(const TlbParams &params, Addr physical_base);
 
-    /** Translate @p vaddr, updating TLB state and statistics. */
-    Translation translate(Addr vaddr);
+    /**
+     * Translate @p vaddr, updating TLB state and statistics.  A hit
+     * on the most recently used page is inline; every other case
+     * (another way of the set, a miss and its walk) is
+     * translateSlow().
+     */
+    Translation
+    translate(Addr vaddr)
+    {
+        if (mru_ && mru_->valid && mru_->vpn == (vaddr >> pageShift_)) {
+            mru_->lastUsed = ++clock_;
+            ++hits_;
+            return Translation{vaddr + base_, true, 0};
+        }
+        return translateSlow(vaddr);
+    }
 
     /** Translation without timing side effects (rollback path). */
     Addr physical(Addr vaddr) const { return vaddr + base_; }
@@ -92,6 +106,9 @@ class Tlb
         std::uint64_t lastUsed = 0;
     };
 
+    /** translate() past the same-page hit: set scan, walk, fill. */
+    Translation translateSlow(Addr vaddr);
+
     TlbParams params_;
     Addr base_;
     std::size_t sets_;
@@ -99,8 +116,9 @@ class Tlb
     /**
      * Most-recently-hit entry: consecutive accesses to one page are
      * the overwhelmingly common case, and the memoized entry's vpn
-     * check subsumes the set scan exactly (same hit/miss counts,
-     * same LRU ordering).  entries_ never reallocates after
+     * check is exactly the set scan's hit condition for that page
+     * (same hit/miss counts, same LRU stamps), so translate() tests
+     * it inline.  entries_ never reallocates after
      * construction; flush() invalidates via the valid flag.
      */
     Entry *mru_ = nullptr;

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+#include <vector>
+
 #include "cpu/branch_pred.hh"
 #include "cpu/checker_timing.hh"
 #include "cpu/main_core.hh"
@@ -401,6 +405,119 @@ TEST(MainCoreExtra, MispredictsDelayFetch)
     Tick predictable = run_branches(false);
     Tick random_time = run_branches(true);
     EXPECT_GT(random_time, predictable * 2);
+}
+
+} // namespace
+
+namespace
+{
+
+using namespace paradox;
+using namespace paradox::isa;
+
+/**
+ * instCycles() against a reference built from plain Cache::access
+ * calls on caches of the same geometry: per-checker L0s over one
+ * shared L1, one synthetic LRU clock, fetch cost plus the class's
+ * execute latency.  Streams run sequentially through loops larger
+ * than the L0, branch between aliasing code regions and hop between
+ * checkers, with power gating mixed in.  Table I's direct-mapped L0
+ * ignores LRU stamps; the 2-way variant makes every stamp the inline
+ * hit writes decide a victim.
+ */
+class CheckerTimingFastPath : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(CheckerTimingFastPath, CycleSumsMatchAccessOnlyReference)
+{
+    cpu::CheckerParams params;
+    params.l0Assoc = GetParam();
+    cpu::CheckerTiming timing(params);
+
+    mem::CacheParams l0p;
+    l0p.sizeBytes = params.l0Bytes;
+    l0p.assoc = params.l0Assoc;
+    l0p.mshrs = 1;
+    mem::CacheParams l1p;
+    l1p.sizeBytes = params.sharedL1Bytes;
+    l1p.assoc = params.sharedL1Assoc;
+    l1p.mshrs = 4;
+    std::vector<std::unique_ptr<mem::Cache>> l0;
+    for (unsigned i = 0; i < params.count; ++i)
+        l0.push_back(std::make_unique<mem::Cache>(l0p));
+    mem::Cache l1(l1p);
+    Tick clock = 0;
+    const auto reference = [&](unsigned id, Addr pc,
+                               const Instruction &inst) {
+        ++clock;
+        Cycles c = 0;
+        if (l0[id]->access(pc, false, clock).outcome !=
+            mem::CacheOutcome::Hit) {
+            c += params.sharedL1Cycles;
+            if (l1.access(pc, false, clock).outcome !=
+                mem::CacheOutcome::Hit)
+                c += params.missCycles;
+        }
+        return c + checkerExecCycles(inst.info().cls);
+    };
+
+    const Opcode ops[] = {Opcode::ADD, Opcode::MUL, Opcode::DIV,
+                          Opcode::LD, Opcode::FADD, Opcode::BEQ};
+    Rng rng(3);
+    Cycles sum = 0, ref_sum = 0;
+    std::uint64_t l0_ref_misses = 0;
+    for (int seg = 0; seg < 300; ++seg) {
+        const unsigned id = unsigned(rng.nextBounded(4));
+        if (rng.nextBounded(10) == 0) {
+            timing.powerGated(id);
+            l0[id]->invalidateAll();
+        }
+        // A segment: a sequential run through a loop body of up to
+        // 12 KiB, entered at a random offset, that now and then
+        // branches to the same offset in another 16 KiB-aligned
+        // region (same L0 set, different tag).
+        Addr base = 0x10000 + 0x4000 * rng.nextBounded(3);
+        const Addr body = 4 * (1 + rng.nextBounded(3072));
+        Addr off = 4 * rng.nextBounded(body / 4);
+        for (int i = 0; i < 200; ++i) {
+            if (rng.nextBounded(12) == 0)
+                base = 0x10000 + 0x4000 * rng.nextBounded(3);
+            Instruction inst;
+            inst.op = ops[rng.nextBounded(std::size(ops))];
+            const Cycles c = timing.instCycles(id, base + off, inst);
+            const Cycles r = reference(id, base + off, inst);
+            ASSERT_EQ(c, r) << "segment " << seg << " inst " << i;
+            sum += c;
+            ref_sum += r;
+            off = (off + 4) % body;
+        }
+    }
+    for (const auto &cache : l0)
+        l0_ref_misses += cache->misses();
+    EXPECT_EQ(sum, ref_sum);
+    EXPECT_EQ(timing.l0Misses(), l0_ref_misses);
+    EXPECT_EQ(timing.sharedL1Misses(), l1.misses());
+    EXPECT_GT(l0_ref_misses, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(L0Assoc, CheckerTimingFastPath,
+                         ::testing::Values(1u, 2u));
+
+TEST(CheckerTiming, SameLineFetchMissesAfterPowerGate)
+{
+    cpu::CheckerTiming timing;
+    Instruction add;
+    add.op = Opcode::ADD;
+    timing.instCycles(2, 0x80, add);
+    EXPECT_EQ(timing.instCycles(2, 0x84, add),
+              checkerExecCycles(InstClass::IntAlu));  // same-line hit
+    const std::uint64_t misses = timing.l0Misses();
+    timing.powerGated(2);
+    // The very line the L0 served last must miss now.
+    EXPECT_GT(timing.instCycles(2, 0x88, add),
+              checkerExecCycles(InstClass::IntAlu));
+    EXPECT_EQ(timing.l0Misses(), misses + 1);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -385,6 +386,203 @@ TEST(TlbTest, PhysicalIsSideEffectFree)
     EXPECT_EQ(tlb.physical(0x1234), 0x6234u);
     EXPECT_EQ(tlb.misses(), 0u);
     EXPECT_EQ(tlb.hits(), 0u);
+}
+
+} // namespace
+
+namespace
+{
+
+using namespace paradox;
+using namespace paradox::mem;
+
+/**
+ * Two caches fed the same stream, one through tryReadHit() wherever
+ * a read could take it and one through access() only, stay
+ * indistinguishable: the same outcomes, counters, writebacks, and
+ * resident lines (so the same victim choices).  Times jitter
+ * backwards as well as forwards, as the main core's issue times do,
+ * so the LRU stamps the inline hit writes decide victims.
+ */
+TEST(CacheFastPath, InlineReadHitMatchesAccessOnlyTwin)
+{
+    Cache fast(tinyCache(true));
+    Cache twin(tinyCache(true));
+    Rng rng(7);
+    // Lines 256 B apart share set 0; 0x40 apart spread over all four.
+    std::vector<Addr> lines;
+    for (Addr a = 0; a < 0x800; a += 0x40)
+        lines.push_back(a);
+    Addr addr = 0;
+    Tick now = 100;
+    std::uint64_t seg = 1;
+    unsigned inline_hits = 0;
+
+    for (int i = 0; i < 20000; ++i) {
+        now += rng.nextBounded(4);
+        const Tick t = now - rng.nextBounded(3);
+        // Mostly the same line again (a fetch or stack walk), else a
+        // jump anywhere in the small footprint.
+        if (rng.nextBounded(4) == 0)
+            addr = lines[rng.nextBounded(lines.size())];
+        const Addr a = addr + 8 * rng.nextBounded(8);
+        const unsigned op = unsigned(rng.nextBounded(100));
+        SCOPED_TRACE(i);
+        if (op < 70) {
+            if (fast.tryReadHit(a, t)) {
+                ++inline_hits;
+                EXPECT_EQ(twin.access(a, false, t).outcome,
+                          CacheOutcome::Hit);
+            } else {
+                const auto f = fast.access(a, false, t);
+                const auto w = twin.access(a, false, t);
+                EXPECT_EQ(f.outcome, w.outcome);
+                EXPECT_EQ(f.writebackDirty, w.writebackDirty);
+                EXPECT_EQ(f.writebackAddr, w.writebackAddr);
+            }
+        } else if (op < 93) {
+            const std::uint64_t pin = rng.nextBounded(2) ? seg : noPin;
+            const auto f = fast.access(a, true, t, pin, seg);
+            const auto w = twin.access(a, true, t, pin, seg);
+            EXPECT_EQ(f.outcome, w.outcome);
+            EXPECT_EQ(f.writebackDirty, w.writebackDirty);
+            EXPECT_EQ(f.writebackAddr, w.writebackAddr);
+            EXPECT_EQ(f.lineStampMatched, w.lineStampMatched);
+        } else if (op < 98) {
+            fast.unpinUpTo(seg);
+            twin.unpinUpTo(seg);
+            ++seg;
+        } else if (op < 99) {
+            fast.fill(a ^ 0x400, t);
+            twin.fill(a ^ 0x400, t);
+        } else {
+            fast.invalidateAll();
+            twin.invalidateAll();
+        }
+        ASSERT_EQ(fast.hits(), twin.hits());
+        ASSERT_EQ(fast.misses(), twin.misses());
+        ASSERT_EQ(fast.evictions(), twin.evictions());
+        ASSERT_EQ(fast.pinnedBlocks(), twin.pinnedBlocks());
+        ASSERT_EQ(fast.pinnedLineCount(), twin.pinnedLineCount());
+        for (Addr l : lines)
+            ASSERT_EQ(fast.contains(l), twin.contains(l)) << l;
+    }
+    // The stream exercised both paths and every way of the sets.
+    EXPECT_GT(inline_hits, 5000u);
+    EXPECT_GT(twin.evictions(), 500u);
+    EXPECT_GT(twin.pinnedBlocks(), 0u);
+}
+
+TEST(CacheFastPath, InlineHitStampDecidesVictim)
+{
+    Cache cache(tinyCache());
+    // Set 0 full; line 0x000 is the least recently used (main-core
+    // issue times need not be monotonic).
+    cache.access(0x000, false, 1);
+    cache.access(0x100, false, 5);
+    cache.access(0x200, false, 6);
+    cache.access(0x300, false, 7);
+    cache.access(0x000, false, 4);
+    // The inline hit re-stamps 0x000 as the youngest line...
+    EXPECT_TRUE(cache.tryReadHit(0x008, 20));
+    // ... so the next miss in the set evicts 0x100 instead.
+    EXPECT_EQ(cache.access(0x400, false, 21).outcome, CacheOutcome::Miss);
+    EXPECT_TRUE(cache.contains(0x000));
+    EXPECT_FALSE(cache.contains(0x100));
+    EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(CacheFastPath, InlineHitOnlyOnTheLastLineAndNeverAfterInvalidate)
+{
+    Cache cache(tinyCache());
+    EXPECT_FALSE(cache.tryReadHit(0x000, 1));  // cold: no side effects
+    EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+    EXPECT_FALSE(cache.contains(0x000));
+    cache.access(0x000, false, 1);
+    cache.access(0x040, false, 2);
+    EXPECT_FALSE(cache.tryReadHit(0x000, 3));  // resident, not last
+    EXPECT_TRUE(cache.tryReadHit(0x07f, 3));
+    cache.invalidateAll();
+    EXPECT_FALSE(cache.tryReadHit(0x040, 4));
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
+}
+
+/**
+ * A scan-only model of the TLB's replacement policy: per set, vpns in
+ * recency order, free ways filled before the least recently used is
+ * evicted.
+ */
+class ReferenceTlb
+{
+  public:
+    ReferenceTlb(unsigned entries, unsigned assoc, unsigned page_shift)
+        : sets_(entries / assoc), assoc_(assoc), pageShift_(page_shift)
+    {
+    }
+
+    bool
+    translate(Addr vaddr)
+    {
+        const std::uint64_t vpn = vaddr >> pageShift_;
+        std::vector<std::uint64_t> &set = sets_[vpn % sets_.size()];
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            if (set[i] == vpn) {
+                set.erase(set.begin() + std::ptrdiff_t(i));
+                set.push_back(vpn);
+                return true;
+            }
+        }
+        if (set.size() == assoc_)
+            set.erase(set.begin());
+        set.push_back(vpn);
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : sets_)
+            set.clear();
+    }
+
+  private:
+    std::vector<std::vector<std::uint64_t>> sets_;
+    unsigned assoc_;
+    unsigned pageShift_;
+};
+
+TEST(TlbFastPath, MatchesScanOnlyReferenceOverMultiPageStream)
+{
+    TlbParams params;
+    params.entries = 8;
+    params.assoc = 2;  // 4 sets
+    Tlb tlb(params, 0x40000000);
+    ReferenceTlb ref(params.entries, params.assoc, 12);
+    Rng rng(11);
+    Addr page = 0;
+    std::uint64_t hits = 0, misses = 0;
+    for (int i = 0; i < 20000; ++i) {
+        SCOPED_TRACE(i);
+        // Runs of same-page accesses, then a hop to one of 24 pages
+        // (three times the capacity, six pages per set).
+        if (rng.nextBounded(8) == 0)
+            page = rng.nextBounded(24);
+        if (rng.nextBounded(500) == 0) {
+            tlb.flush();
+            ref.flush();
+        }
+        const Addr va = (page << 12) + rng.nextBounded(4096);
+        const Translation t = tlb.translate(va);
+        const bool hit = ref.translate(va);
+        ASSERT_EQ(t.tlbHit, hit);
+        EXPECT_EQ(t.paddr, va + 0x40000000);
+        EXPECT_EQ(t.extraCycles, hit ? 0u : params.walkCycles);
+        (hit ? hits : misses) += 1;
+    }
+    EXPECT_EQ(tlb.hits(), hits);
+    EXPECT_EQ(tlb.misses(), misses);
+    EXPECT_GT(misses, 1000u);
 }
 
 } // namespace

@@ -10,15 +10,13 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/system.hh"
 #include "exp/runner.hh"
-#include "exp/sink.hh"
+#include "sim_scenarios.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -26,54 +24,8 @@ namespace
 
 using namespace paradox;
 
-struct Scenario
-{
-    const char *name;
-    std::function<void(exp::ExperimentSpec &)> apply;
-};
-
-const std::vector<Scenario> &
-scenarios()
-{
-    using core::Mode;
-    static const std::vector<Scenario> all = {
-        {"baseline", [](exp::ExperimentSpec &s) { s.mode = Mode::Baseline; }},
-        {"detect",
-         [](exp::ExperimentSpec &s) { s.mode = Mode::DetectionOnly; }},
-        {"paramedic",
-         [](exp::ExperimentSpec &s) { s.mode = Mode::ParaMedic; }},
-        {"paradox", [](exp::ExperimentSpec &s) { s.mode = Mode::ParaDox; }},
-        {"paradox_dvfs", [](exp::ExperimentSpec &s) { s.dvfs = true; }},
-        {"rate_1e4", [](exp::ExperimentSpec &s) { s.faultRate = 1e-4; }},
-        {"paramedic_rate_1e4",
-         [](exp::ExperimentSpec &s) {
-             s.mode = Mode::ParaMedic;
-             s.faultRate = 1e-4;
-         }},
-        {"ecc",
-         [](exp::ExperimentSpec &s) {
-             s.eccRate = 1e-3;
-             s.configure = [](core::SystemConfig &c) {
-                 c.memoryEccDueRate = 1e-4;
-             };
-         }},
-        {"chip", [](exp::ExperimentSpec &s) { s.chipSeed = 202; }},
-        {"main_rate", [](exp::ExperimentSpec &s) { s.mainCoreRate = 1e-4; }},
-    };
-    return all;
-}
-
-/** Result record + stats registry, minus the batching counters. */
-std::string
-digest(const exp::ExperimentSpec &spec, const exp::RunOutcome &out,
-       const std::string &registry)
-{
-    // main.sb_* describe how the host batched commits, which is the
-    // one thing the two engines are allowed to differ in.
-    static const std::regex batching(",\"main\\.sb_[a-z_]+\":[^,}]*");
-    return exp::recordJson(spec, out) + "\n" +
-           std::regex_replace(registry, batching, "");
-}
+using testing_support::scenarios;
+using testing_support::simDigest;
 
 class SystemDifferential : public ::testing::TestWithParam<std::size_t>
 {
@@ -81,7 +33,7 @@ class SystemDifferential : public ::testing::TestWithParam<std::size_t>
 
 TEST_P(SystemDifferential, EnginesAgreeOnEveryWorkload)
 {
-    const Scenario &scenario = scenarios()[GetParam()];
+    const testing_support::Scenario &scenario = scenarios()[GetParam()];
     const std::vector<std::string> &names = workloads::allNames();
 
     std::vector<exp::ExperimentSpec> specs;
@@ -117,8 +69,8 @@ TEST_P(SystemDifferential, EnginesAgreeOnEveryWorkload)
         EXPECT_TRUE(outs[d].correct);
         // Render both under the decoded spec: the engine is the only
         // field the two specs differ in.
-        EXPECT_EQ(digest(specs[d], outs[d], registries[d]),
-                  digest(specs[d], outs[r], registries[r]));
+        EXPECT_EQ(simDigest(specs[d], outs[d], registries[d]),
+                  simDigest(specs[d], outs[r], registries[r]));
     }
 }
 

@@ -11,7 +11,8 @@
  *
  * Each workload runs --reps times (default 3) and the *best* wall
  * time is kept: the minimum is the least noisy estimator for a
- * deterministic CPU-bound job on a shared machine.
+ * deterministic CPU-bound job on a shared machine.  The median and
+ * slowest rep are reported next to it as the spread.
  *
  * The report header carries the host/build provenance (CPU model,
  * cores, compiler, flags, git SHA): throughput is only comparable
@@ -48,7 +49,9 @@ struct BenchResult
     std::string name;
     std::uint64_t simInstructions = 0;
     std::uint64_t executed = 0;
-    double wallMs = 0.0;
+    double wallMs = 0.0;        //!< best rep
+    double wallMsMedian = 0.0;
+    double wallMsMax = 0.0;
     double instPerSec = 0.0;
     bool correct = false;
     /** @{ --profile extras (profFile empty = not profiled). */
@@ -137,6 +140,7 @@ main(int argc, char **argv)
 
         BenchResult best;
         best.name = name;
+        std::vector<double> rep_ms;
         for (unsigned rep = 0; rep < reps; ++rep) {
             exp::RunOutcome out;
             const auto t0 = Clock::now();
@@ -151,6 +155,7 @@ main(int argc, char **argv)
             const double ms =
                 std::chrono::duration<double, std::milli>(t1 - t0)
                     .count();
+            rep_ms.push_back(ms);
             if (rep == 0 || ms < best.wallMs) {
                 best.wallMs = ms;
                 best.simInstructions = out.result.instructions;
@@ -166,6 +171,9 @@ main(int argc, char **argv)
                              name.c_str(), rep + 1, reps, ms,
                              out.correct ? "" : "  [WRONG RESULT]");
         }
+        std::sort(rep_ms.begin(), rep_ms.end());
+        best.wallMsMedian = rep_ms[rep_ms.size() / 2];
+        best.wallMsMax = rep_ms.back();
         best.instPerSec =
             best.wallMs > 0.0
                 ? double(best.executed) / (best.wallMs / 1e3)
@@ -252,11 +260,13 @@ main(int argc, char **argv)
         std::snprintf(buf, sizeof buf,
                       "%s{\"name\":\"%s\",\"sim_instructions\":%llu,"
                       "\"executed\":%llu,\"wall_ms\":%.1f,"
+                      "\"wall_ms_median\":%.1f,\"wall_ms_max\":%.1f,"
                       "\"inst_per_sec\":%.0f,\"correct\":%s",
                       i ? "," : "", r.name.c_str(),
                       (unsigned long long)r.simInstructions,
                       (unsigned long long)r.executed, r.wallMs,
-                      r.instPerSec, r.correct ? "true" : "false");
+                      r.wallMsMedian, r.wallMsMax, r.instPerSec,
+                      r.correct ? "true" : "false");
         json += buf;
         if (!r.profFile.empty()) {
             std::snprintf(buf, sizeof buf,

@@ -223,13 +223,15 @@ loadCostModel(const std::string &path,
             return false;
         }
         rec.maxDyn = std::strtoull(v.c_str(), nullptr, 10);
-        if (rec.maxDyn < rec.minDyn) {
+        if (obs::jsonField(line, "bounded", v))
+            rec.bounded = v == "1" || v == "true";
+        // max_dyn_insts is only computed for a bounded program; an
+        // unbounded one carries 0 there.
+        if (rec.bounded && rec.maxDyn < rec.minDyn) {
             error = path + ": garbled cost record for '" + prog +
                     "' (max_dyn_insts < min_dyn_insts)";
             return false;
         }
-        if (obs::jsonField(line, "bounded", v))
-            rec.bounded = v == "1" || v == "true";
         if (obs::jsonField(line, "scale", v))
             rec.scale = std::strtoull(v.c_str(), nullptr, 10);
         if (obs::jsonField(line, "decoded_uops", v))
