@@ -104,20 +104,24 @@ TournamentPredictor::Prediction
 TournamentPredictor::predict(Addr pc, const isa::Instruction &inst)
 {
     ++lookups_;
-    Prediction pred;
+    // Scalars, stored field by field: copying a just-built Prediction
+    // into lastPrediction_ would reload it before its stores retire.
+    bool taken = false;
+    Addr target = 0;
+    bool target_known = false;
     const isa::InstInfo &ii = inst.info();
 
     if (ii.isJump) {
-        pred.taken = true;
+        taken = true;
         if (isReturn(inst) && rasTop_ > 0) {
-            pred.target = ras_[(rasTop_ - 1) & rasMask_];
-            pred.targetKnown = true;
+            target = ras_[(rasTop_ - 1) & rasMask_];
+            target_known = true;
             --rasTop_;
         } else {
             const BtbEntry &entry = btb_[btbIndex(pc)];
             if (entry.valid && entry.pc == pc) {
-                pred.target = entry.target;
-                pred.targetKnown = true;
+                target = entry.target;
+                target_known = true;
             }
         }
         if (isCall(inst)) {
@@ -132,18 +136,20 @@ TournamentPredictor::predict(Addr pc, const isa::Instruction &inst)
         const bool global_taken =
             counterTaken(globalCounters_[globalIndex()], 3);
         lastChoseGlobal_ = counterTaken(chooser_[chooserIndex(pc)], 3);
-        pred.taken = lastChoseGlobal_ ? global_taken : local_taken;
-        if (pred.taken) {
+        taken = lastChoseGlobal_ ? global_taken : local_taken;
+        if (taken) {
             const BtbEntry &entry = btb_[btbIndex(pc)];
             if (entry.valid && entry.pc == pc) {
-                pred.target = entry.target;
-                pred.targetKnown = true;
+                target = entry.target;
+                target_known = true;
             }
         }
     }
 
-    lastPrediction_ = pred;
-    return pred;
+    lastPrediction_.taken = taken;
+    lastPrediction_.target = target;
+    lastPrediction_.targetKnown = target_known;
+    return Prediction{taken, target, target_known};
 }
 
 bool

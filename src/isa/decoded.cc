@@ -10,6 +10,8 @@ namespace paradox
 namespace isa
 {
 
+const CommitRecord rundetail::blankRecord{};
+
 namespace
 {
 

@@ -25,6 +25,7 @@
 #include <utility>
 
 #include "isa/decoded.hh"
+#include "isa/fp_minmax.hh"
 
 #if defined(__GNUC__) || defined(__clang__)
 #define PARADOX_THREADED_DISPATCH 1
@@ -92,6 +93,51 @@ mulHigh(std::uint64_t a, std::uint64_t b)
     return static_cast<std::uint64_t>(prod >> 64);
 }
 
+/**
+ * `CommitRecord{}`, defined out of line (decoded.cc): runDecoded's
+ * record starts as a copy of it, which compiles to a few wide moves
+ * where default-initialising the escaping record compiles to a
+ * rep stos clear.
+ */
+extern const CommitRecord blankRecord;
+
+/**
+ * Assign every field of @p r in place: `CommitRecord{}` with pc @p pc,
+ * validity @p valid and the fetch fields of @p u (MicroOp{} gives the
+ * wild-fetch record).  The record escapes to the sink, so
+ * `r = CommitRecord{}` would build a temporary (rep stos plus narrow
+ * stores) and copy it with wide loads that cannot forward from those
+ * stores, once per instruction.
+ */
+inline void
+initRecord(CommitRecord &r, bool valid, Addr pc, const MicroOp &u)
+{
+    r.valid = valid;
+    r.halted = false;
+    r.op = u.op;
+    r.cls = u.cls;
+    r.pc = pc;
+    r.nextPc = 0;
+    r.isLoad = false;
+    r.isStore = false;
+    r.memAddr = 0;
+    r.memSize = 0;
+    r.loadValue = 0;
+    r.storeValue = 0;
+    r.storeOld = 0;
+    r.isBranch = false;
+    r.isJump = false;
+    r.taken = false;
+    r.wroteInt = false;
+    r.wroteFp = false;
+    r.rd = u.rd;
+    r.destValue = 0;
+    r.inst = u.inst;
+    r.srcA = u.srcA;
+    r.srcB = u.srcB;
+    r.srcC = u.srcC;
+}
+
 } // namespace rundetail
 
 /**
@@ -117,6 +163,7 @@ runDecoded(const DecodedProgram &dp, ArchState &state, Mem &mem,
            std::uint64_t max_uops, Sink &&sink, MemGate &&mem_gate)
 {
     using rundetail::asSigned;
+    using rundetail::initRecord;
     using rundetail::mulHigh;
     using rundetail::sext;
     using rundetail::zext;
@@ -135,7 +182,7 @@ runDecoded(const DecodedProgram &dp, ArchState &state, Mem &mem,
     // Locals shared by the handlers; declared before the dispatch
     // label so gotos never cross an initialization.
     const MicroOp *u = nullptr;
-    CommitRecord r;
+    CommitRecord r = rundetail::blankRecord;
     Addr next_pc = 0;
     std::uint64_t next_idx = 0;
     std::uint64_t a = 0, b = 0, raw = 0, sv = 0, old = 0;
@@ -234,24 +281,14 @@ dispatch:
     if (idx >= n) {
         // Wild fetch: an invalid record with the state untouched,
         // exactly as the reference executor reports it.
-        r = CommitRecord{};
-        r.pc = pc;
+        initRecord(r, false, pc, MicroOp{});
         sink(static_cast<const CommitRecord &>(r));
         return RunStop::WildFetch;
     }
     u = &uops[idx];
     if ((u->isLoad || u->isStore) && !mem_gate(idx))
         return RunStop::MemNext;
-    r = CommitRecord{};
-    r.valid = true;
-    r.op = u->op;
-    r.cls = u->cls;
-    r.pc = pc;
-    r.rd = u->rd;
-    r.inst = u->inst;
-    r.srcA = u->srcA;
-    r.srcB = u->srcB;
-    r.srcC = u->srcC;
+    initRecord(r, true, pc, *u);
     next_pc = pc + instBytes;
     next_idx = idx + 1;
 #if PARADOX_THREADED_DISPATCH
@@ -398,8 +435,8 @@ dispatch:
             state.orFflags(ArchState::flagInvalid);
         U_WRITE_F(std::sqrt(fa));
         U_NEXT();
-    U_LABEL(FMIN) U_READ_FAB(); U_WRITE_F(std::fmin(fa, fb)); U_NEXT();
-    U_LABEL(FMAX) U_READ_FAB(); U_WRITE_F(std::fmax(fa, fb)); U_NEXT();
+    U_LABEL(FMIN) U_READ_FAB(); U_WRITE_F(fpMin(fa, fb)); U_NEXT();
+    U_LABEL(FMAX) U_READ_FAB(); U_WRITE_F(fpMax(fa, fb)); U_NEXT();
     U_LABEL(FNEG) U_READ_FAB(); U_WRITE_F(-fa); U_NEXT();
     U_LABEL(FABS) U_READ_FAB(); U_WRITE_F(std::fabs(fa)); U_NEXT();
     U_LABEL(FMADD)

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "isa/fp_minmax.hh"
 #include "sim/logging.hh"
 
 namespace paradox
@@ -230,8 +231,8 @@ step(const Program &prog, ArchState &state, MemIf &mem)
             state.orFflags(ArchState::flagInvalid);
         writeF(std::sqrt(fa));
         break;
-      case Opcode::FMIN: writeF(std::fmin(fa, fb)); break;
-      case Opcode::FMAX: writeF(std::fmax(fa, fb)); break;
+      case Opcode::FMIN: writeF(fpMin(fa, fb)); break;
+      case Opcode::FMAX: writeF(fpMax(fa, fb)); break;
       case Opcode::FNEG: writeF(-fa); break;
       case Opcode::FABS: writeF(std::fabs(fa)); break;
       case Opcode::FMADD:

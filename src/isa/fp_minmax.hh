@@ -1,0 +1,59 @@
+/**
+ * @file
+ * FMIN/FMAX semantics, defined once for every engine.
+ *
+ * C leaves the sign of fmin(+0, -0) unspecified, and GCC's inlined
+ * minsd and the libm call pick different zeros depending on the
+ * optimisation level, so std::fmin/std::fmax would make the two
+ * engines disagree in some builds.  These follow RISC-V F instead:
+ * -0 orders below +0, a NaN operand yields the other operand, and two
+ * NaNs yield the canonical quiet NaN.
+ */
+
+#ifndef PARADOX_ISA_FP_MINMAX_HH
+#define PARADOX_ISA_FP_MINMAX_HH
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
+namespace paradox
+{
+namespace isa
+{
+
+/** The RISC-V canonical quiet NaN. */
+inline constexpr std::uint64_t canonicalNanBits = 0x7ff8000000000000ULL;
+
+/** FMIN: the smaller operand, with -0 < +0 and NaNs ignored. */
+inline double
+fpMin(double a, double b)
+{
+    if (std::isnan(a))
+        return std::isnan(b) ? std::bit_cast<double>(canonicalNanBits)
+                             : b;
+    if (std::isnan(b))
+        return a;
+    if (a == b)  // equal values, or +0 and -0: the negative one
+        return std::signbit(a) ? a : b;
+    return a < b ? a : b;
+}
+
+/** FMAX: the larger operand, with +0 > -0 and NaNs ignored. */
+inline double
+fpMax(double a, double b)
+{
+    if (std::isnan(a))
+        return std::isnan(b) ? std::bit_cast<double>(canonicalNanBits)
+                             : b;
+    if (std::isnan(b))
+        return a;
+    if (a == b)  // equal values, or +0 and -0: the positive one
+        return std::signbit(a) ? b : a;
+    return a > b ? a : b;
+}
+
+} // namespace isa
+} // namespace paradox
+
+#endif // PARADOX_ISA_FP_MINMAX_HH

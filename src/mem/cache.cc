@@ -153,6 +153,8 @@ Cache::fill(Addr addr, Tick now)
     }
     if (!victim)
         return;  // never displace pinned lines for a prefetch
+    if (victim == mruLine_)
+        mruLineId_ = noLine;
     if (victim->valid)
         ++evictions_;
     *victim = Line{};
@@ -199,6 +201,7 @@ Cache::invalidateAll()
 {
     for (auto &line : lines_)
         line = Line{};
+    mruLineId_ = noLine;
     std::fill(mshrBusy_.begin(), mshrBusy_.end(), 0);
 }
 

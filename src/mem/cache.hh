@@ -163,15 +163,14 @@ class Cache
     };
 
     /** The memoized line if it holds line @p line_id, else null.
-     *  The line id fixes the set, so valid + tag is exactly the
-     *  scan's hit condition. */
+     *  One compare: mruLineId_ names the line mruLine_ holds, and
+     *  every change of what a line holds either re-points the memo
+     *  (access()) or clears it (fill() evicting the memo line,
+     *  invalidateAll()). */
     Line *
     mruHit(std::uint64_t line_id) const
     {
-        return line_id == mruLineId_ && mruLine_ && mruLine_->valid &&
-                       mruLine_->tag == (line_id >> setShift_)
-                   ? mruLine_
-                   : nullptr;
+        return line_id == mruLineId_ ? mruLine_ : nullptr;
     }
 
     std::uint64_t tagOf(Addr addr) const;
@@ -190,12 +189,13 @@ class Cache
     /**
      * Last line resolved by access(): consecutive accesses to one
      * line (instruction fetch, stack traffic) skip the way scan, and
-     * tryReadHit() skips the call.  The memo is self-validating
-     * (mruHit()), so hit/miss counts, LRU order, and pin state are
-     * bit-identical with or without it.  lines_ never reallocates
-     * after construction.
+     * tryReadHit() skips the call.  mruLineId_ is noLine whenever
+     * mruLine_ may no longer hold it (see mruHit()), so hit/miss
+     * counts, LRU order, and pin state are bit-identical with or
+     * without the memo.  lines_ never reallocates after construction.
      */
-    std::uint64_t mruLineId_ = ~std::uint64_t(0);
+    static constexpr std::uint64_t noLine = ~std::uint64_t(0);
+    std::uint64_t mruLineId_ = noLine;
     Line *mruLine_ = nullptr;
     std::vector<Tick> mshrBusy_;
 

@@ -103,8 +103,13 @@ CacheHierarchy::dataAccess(Addr addr, Addr pc, bool is_write, Tick now,
         l2_->access(l1r.writebackAddr, true, now);
 
     if (!result.l1Hit) {
+        // A local, not &result.l2Hit: an escaping member address
+        // makes the compiler build the result with byte stores and
+        // reload it as a word.
+        bool l2_hit = false;
         Tick fill = l2Access(addr, pc, false, result.completeAt,
-                             &result.l2Hit, true);
+                             &l2_hit, true);
+        result.l2Hit = l2_hit;
         Tick begin = l1d_.reserveMshr(now, fill);
         result.completeAt = fill + (begin - now);
     }

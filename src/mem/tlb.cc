@@ -38,6 +38,7 @@ Tlb::translateSlow(Addr vaddr)
             set[w].lastUsed = clock_;
             ++hits_;
             mru_ = &set[w];
+            mruVpn_ = vpn;
             return result;
         }
     }
@@ -59,6 +60,7 @@ Tlb::translateSlow(Addr vaddr)
     victim->vpn = vpn;
     victim->lastUsed = clock_;
     mru_ = victim;
+    mruVpn_ = vpn;
     return result;
 }
 
@@ -67,6 +69,7 @@ Tlb::flush()
 {
     for (auto &entry : entries_)
         entry.valid = false;
+    mruVpn_ = noVpn;
 }
 
 } // namespace mem

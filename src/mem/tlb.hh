@@ -67,7 +67,7 @@ class Tlb
     Translation
     translate(Addr vaddr)
     {
-        if (mru_ && mru_->valid && mru_->vpn == (vaddr >> pageShift_)) {
+        if ((vaddr >> pageShift_) == mruVpn_) {
             mru_->lastUsed = ++clock_;
             ++hits_;
             return Translation{vaddr + base_, true, 0};
@@ -114,14 +114,18 @@ class Tlb
     std::size_t sets_;
     std::vector<Entry> entries_;
     /**
-     * Most-recently-hit entry: consecutive accesses to one page are
-     * the overwhelmingly common case, and the memoized entry's vpn
-     * check is exactly the set scan's hit condition for that page
-     * (same hit/miss counts, same LRU stamps), so translate() tests
-     * it inline.  entries_ never reallocates after
-     * construction; flush() invalidates via the valid flag.
+     * Most-recently-hit entry and the page it holds: consecutive
+     * accesses to one page are the overwhelmingly common case, so
+     * translate() compares the page against mruVpn_ inline.
+     * translateSlow() rewrites an entry only to make it the MRU one
+     * and sets both fields together, and flush() clears mruVpn_; so
+     * the compare is exactly the set scan's hit condition for that
+     * page (same hit/miss counts, same LRU stamps).  entries_ never
+     * reallocates after construction.
      */
+    static constexpr std::uint64_t noVpn = ~std::uint64_t(0);
     Entry *mru_ = nullptr;
+    std::uint64_t mruVpn_ = noVpn;
     unsigned pageShift_ = 0;    //!< log2(pageBytes), checked in ctor
     std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;

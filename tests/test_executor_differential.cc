@@ -52,7 +52,10 @@ runIntOp(Opcode op, std::uint64_t a, std::uint64_t b)
     return state.readX(3);
 }
 
-/** Run `fop f3, f1, f2` once. */
+/**
+ * Run `fop f3, f1, f2` once on each engine; both must write the same
+ * bits.  Returns the reference engine's result.
+ */
 double
 runFpOp(Opcode op, double a, double b)
 {
@@ -63,13 +66,22 @@ runFpOp(Opcode op, double a, double b)
     inst.rs2 = 2;
     Program prog("diff", {inst, Instruction{Opcode::HALT, 0, 0, 0, 0}},
                  {});
-    ArchState state;
-    state.writeF(1, a);
-    state.writeF(2, b);
-    mem::SimpleMemory memory;
-    ExecResult r = step(prog, state, memory);
-    EXPECT_TRUE(r.valid);
-    return state.readF(3);
+    std::uint64_t bits[2];
+    const EngineKind kinds[2] = {EngineKind::Reference,
+                                 EngineKind::Decoded};
+    for (int k = 0; k < 2; ++k) {
+        auto engine = makeEngine(kinds[k], prog);
+        ArchState state;
+        state.writeF(1, a);
+        state.writeF(2, b);
+        mem::SimpleMemory memory;
+        EXPECT_TRUE(engine->step(state, memory).valid);
+        bits[k] = state.readFBits(3);
+    }
+    EXPECT_EQ(bits[0], bits[1])
+        << "engines disagree: " << mnemonic(op) << " a=" << a
+        << " b=" << b;
+    return std::bit_cast<double>(bits[0]);
 }
 
 /** Independent integer oracle (no shared code with the executor). */
@@ -153,6 +165,34 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+/**
+ * A signed key whose integer order is IEEE totalOrder on non-NaN
+ * doubles: -0 sorts just below +0.
+ */
+std::int64_t
+totalOrderKey(double x)
+{
+    const auto k = std::bit_cast<std::int64_t>(x);
+    return k < 0 ? k ^ std::numeric_limits<std::int64_t>::max() : k;
+}
+
+/**
+ * RISC-V FMIN/FMAX by total-order keys: a NaN operand yields the
+ * other operand, two NaNs the canonical NaN (0x7ff8000000000000).
+ */
+double
+minMaxOracle(bool is_max, double a, double b)
+{
+    if (std::isnan(a) && std::isnan(b))
+        return std::bit_cast<double>(std::uint64_t(0x7ff8000000000000));
+    if (std::isnan(a))
+        return b;
+    if (std::isnan(b))
+        return a;
+    const bool a_first = totalOrderKey(a) <= totalOrderKey(b);
+    return a_first != is_max ? a : b;
+}
+
 /** Independent FP oracle. */
 double
 fpOracle(Opcode op, double a, double b)
@@ -162,8 +202,8 @@ fpOracle(Opcode op, double a, double b)
       case Opcode::FSUB: return a - b;
       case Opcode::FMUL: return a * b;
       case Opcode::FDIV: return a / b;
-      case Opcode::FMIN: return std::fmin(a, b);
-      case Opcode::FMAX: return std::fmax(a, b);
+      case Opcode::FMIN: return minMaxOracle(false, a, b);
+      case Opcode::FMAX: return minMaxOracle(true, a, b);
       default: return 0.0;
     }
 }
@@ -188,6 +228,34 @@ TEST_P(FpOpDifferential, MatchesOracleBitForBit)
         EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
                   std::bit_cast<std::uint64_t>(want))
             << mnemonic(op) << " a=" << a << " b=" << b;
+    }
+}
+
+TEST_P(FpOpDifferential, SignedZeroAndNanOperands)
+{
+    // The pairs where C leaves std::fmin/std::fmax open or where
+    // RISC-V differs from IEEE minNum on NaNs.
+    const Opcode op = GetParam();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double neg_nan = -nan;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double vals[] = {0.0, -0.0, 1.5, -2.25, inf, -inf, nan,
+                           neg_nan};
+    for (double a : vals) {
+        for (double b : vals) {
+            const std::uint64_t got =
+                std::bit_cast<std::uint64_t>(runFpOp(op, a, b));
+            const double want = fpOracle(op, a, b);
+            if (op != Opcode::FMIN && op != Opcode::FMAX &&
+                std::isnan(want)) {
+                // Arithmetic NaN payloads are the host's; the engines
+                // agreeing (runFpOp) is the contract there.
+                EXPECT_TRUE(std::isnan(std::bit_cast<double>(got)));
+                continue;
+            }
+            EXPECT_EQ(got, std::bit_cast<std::uint64_t>(want))
+                << mnemonic(op) << " a=" << a << " b=" << b;
+        }
     }
 }
 

@@ -509,6 +509,35 @@ TEST(CacheFastPath, InlineHitOnlyOnTheLastLineAndNeverAfterInvalidate)
 }
 
 /**
+ * Fill set 0 so that the last line accessed (0x000) is also the least
+ * recently used one, then prefetch 0x400 over it.
+ */
+void
+evictLastLineByPrefetch(Cache &cache)
+{
+    cache.access(0x100, false, 5);
+    cache.access(0x200, false, 6);
+    cache.access(0x300, false, 7);
+    cache.access(0x000, false, 1);
+    cache.fill(0x400, 10);
+    ASSERT_FALSE(cache.contains(0x000));
+    ASSERT_TRUE(cache.contains(0x400));
+}
+
+TEST(CacheFastPath, PrefetchFillEvictingTheLastLineEndsItsInlineHit)
+{
+    Cache cache(tinyCache());
+    evictLastLineByPrefetch(cache);
+    EXPECT_FALSE(cache.tryReadHit(0x008, 11));
+    EXPECT_EQ(cache.access(0x008, false, 11).outcome, CacheOutcome::Miss);
+
+    Cache twin(tinyCache());  // the same, seen first by access()
+    evictLastLineByPrefetch(twin);
+    EXPECT_EQ(twin.access(0x008, false, 11).outcome, CacheOutcome::Miss);
+    EXPECT_EQ(cache.hits() + twin.hits(), 0u);
+}
+
+/**
  * A scan-only model of the TLB's replacement policy: per set, vpns in
  * recency order, free ways filled before the least recently used is
  * evicted.
