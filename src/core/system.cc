@@ -400,7 +400,8 @@ System::captureLineCopies(const isa::CommitRecord &r)
         // Reconstruct the pre-store line image: memory already holds
         // the post-store bytes, so splice the overwritten value back
         // in where the store touched this line.
-        std::vector<std::uint8_t> bytes(lb);
+        std::vector<std::uint8_t> &bytes = lineImage_;
+        bytes.resize(lb);
         memory_.readBlock(line, bytes.data(), lb);
         for (unsigned i = 0; i < r.memSize; ++i) {
             Addr byte_addr = r.memAddr + i;
@@ -446,7 +447,12 @@ System::openSegment()
         int id = sched()->allocate(mainCore_->now());
         if (id >= 0) {
             fillingChecker_ = id;
-            filling_ = std::make_unique<LogSegment>();
+            if (spareSegments_.empty()) {
+                filling_ = std::make_unique<LogSegment>();
+            } else {
+                filling_ = std::move(spareSegments_.back());
+                spareSegments_.pop_back();
+            }
             filling_->open(segSeq_++, archState_, netIndex_,
                            mainCore_->now());
             instsInSegment_ = 0;
@@ -721,7 +727,7 @@ System::closeSegmentAndDispatch()
         }
     }
     if (pc.detected)
-        ++detectedPending_;
+        nextDetectTick_ = std::min(nextDetectTick_, pc.detectTick);
     pending_.push_back(std::move(pc));
 
     fillingChecker_ = -1;
@@ -834,7 +840,7 @@ System::machineCheckRollback()
     sched()->release(unsigned(fillingChecker_), now);
     if (config_.lowestIdScheduling)
         checkerTiming()->powerGated(unsigned(fillingChecker_));
-    filling_.reset();
+    recycleSegment(std::move(filling_));
     fillingChecker_ = -1;
     instsInSegment_ = 0;
     segBoundBytes_ = 0;
@@ -849,7 +855,10 @@ System::waitForOldestRelease(Tick now)
     PendingCheck &front = pending_.front();
     if (front.detected) {
         // The check completes by *failing*; the caller handles the
-        // rollback once control returns to the run loop.
+        // rollback once control returns to the run loop.  That needs
+        // the gate at or below this detection, or nothing would run it.
+        if (front.detectTick < nextDetectTick_)
+            panic("System: detection gate out of sync with pending_");
         return std::max(now, front.detectTick);
     }
     Tick done = std::max(now, front.finishTick);
@@ -857,6 +866,7 @@ System::waitForOldestRelease(Tick now)
     sched()->release(front.checkerId, done);
     if (config_.lowestIdScheduling)
         checkerTiming()->powerGated(front.checkerId);
+    recycleSegment(std::move(front.segment));
     pending_.pop_front();
     noteForwardProgress(done);
     return done;
@@ -874,6 +884,7 @@ System::retireVerifiedUpTo(Tick now)
         if (config_.lowestIdScheduling)
             checkerTiming()->powerGated(front.checkerId);
         noteForwardProgress(front.finishTick);
+        recycleSegment(std::move(front.segment));
         pending_.pop_front();
     }
 }
@@ -912,23 +923,19 @@ System::undoSegmentMemory(const LogSegment &segment)
 bool
 System::processDetections(Tick now)
 {
-    if (detectedPending_ == 0)
-        return false;
     bool any = false;
-    for (;;) {
-        std::size_t best = pending_.size();
-        Tick best_tick = maxTick;
-        for (std::size_t i = 0; i < pending_.size(); ++i) {
-            if (pending_[i].detected &&
-                pending_[i].detectTick <= now &&
-                pending_[i].detectTick < best_tick) {
-                best = i;
-                best_tick = pending_[i].detectTick;
-            }
-        }
-        if (best == pending_.size())
-            break;
-        performRollback(best, std::max(now, best_tick));
+    // The detection that signalled first goes first (the oldest
+    // segment on a tie).  Its rollback erases every younger segment
+    // and moves time on; repeat while one is still due.
+    while (now >= nextDetectTick_) {
+        std::size_t idx = 0;
+        while (idx < pending_.size() &&
+               (!pending_[idx].detected ||
+                pending_[idx].detectTick != nextDetectTick_))
+            ++idx;
+        if (idx == pending_.size())
+            panic("System: detection gate out of sync with pending_");
+        performRollback(idx, now);
         any = true;
         now = mainCore_->now();
     }
@@ -1001,7 +1008,7 @@ System::performRollback(std::size_t idx, Tick stop)
         sched()->release(unsigned(fillingChecker_), stop);
         if (config_.lowestIdScheduling)
             checkerTiming()->powerGated(unsigned(fillingChecker_));
-        filling_.reset();
+        recycleSegment(std::move(filling_));
         fillingChecker_ = -1;
         instsInSegment_ = 0;
         segBoundBytes_ = 0;
@@ -1012,13 +1019,14 @@ System::performRollback(std::size_t idx, Tick stop)
                         std::min(stop, pending_[j].finishTick));
         if (config_.lowestIdScheduling)
             checkerTiming()->powerGated(pending_[j].checkerId);
+        recycleSegment(std::move(pending_[j].segment));
     }
     pending_.erase(pending_.begin() + std::ptrdiff_t(idx),
                    pending_.end());
-    detectedPending_ = 0;
+    nextDetectTick_ = maxTick;
     for (const PendingCheck &p : pending_)
         if (p.detected)
-            ++detectedPending_;
+            nextDetectTick_ = std::min(nextDetectTick_, p.detectTick);
 
     Tick resume = stop + cost;
     if (tracing()) {
@@ -1335,7 +1343,8 @@ System::commit(const isa::CommitRecord &r)
             return false;
         }
         // A rollback rewinds past this record, HALT included.
-        if (detectedPending_ != 0 && processDetections(mainCore_->now()))
+        if (mainCore_->now() >= nextDetectTick_ &&
+            processDetections(mainCore_->now()))
             return false;
     }
 
@@ -1376,7 +1385,7 @@ System::noteHaltCommitted()
             checkerTiming()->powerGated(unsigned(fillingChecker_));
         if (tracing())
             traceEndFill(mainCore_->now());
-        filling_.reset();
+        recycleSegment(std::move(filling_));
         fillingChecker_ = -1;
     }
     phase_ = Phase::Draining;

@@ -480,6 +480,13 @@ class System
     /** Handle any detection due at or before @p now. */
     bool processDetections(Tick now);
 
+    /** Return a segment past its last use to the spare pool. */
+    void
+    recycleSegment(std::unique_ptr<LogSegment> seg)
+    {
+        spareSegments_.push_back(std::move(seg));
+    }
+
     /** Roll back to the start of pending index @p idx at @p now. */
     void performRollback(std::size_t idx, Tick now);
 
@@ -560,6 +567,8 @@ class System
     int fillingChecker_ = -1;
     unsigned instsInSegment_ = 0;
     std::unordered_set<Addr> linesCopiedThisCkpt_;
+    /** Pre-store line image buffer, reused by captureLineCopies(). */
+    std::vector<std::uint8_t> lineImage_;
     /**
      * Sum of the static worst-case log-byte bounds the segment's
      * accesses were admitted under (superblock gate: effect-summary
@@ -573,9 +582,21 @@ class System
 
     // Dispatched segments, oldest first.
     std::deque<PendingCheck> pending_;
-    /** Entries of pending_ with detected == true (gates the
-     * per-instruction detection scan). */
-    std::size_t detectedPending_ = 0;
+    /**
+     * Smallest detectTick over the detected entries of pending_, or
+     * maxTick when there are none: the per-commit detection test is
+     * one compare.  Lowered at the push in closeSegmentAndDispatch(),
+     * recomputed after the erase in performRollback(); the pop_fronts
+     * never remove a detected entry, so they leave it unchanged.
+     */
+    Tick nextDetectTick_ = maxTick;
+    /**
+     * Spare segments, recycled so a checkpoint reuses a dead
+     * segment's log buffers instead of allocating.  Every segment
+     * lives in exactly one of filling_, pending_ or here, so the
+     * three hold at most one segment per checker.
+     */
+    std::vector<std::unique_ptr<LogSegment>> spareSegments_;
 
     // Run-scoped counters.
     std::uint64_t segSeq_ = 1;

@@ -20,6 +20,8 @@ Cache::Cache(const CacheParams &params) : params_(params)
     if (numSets_ == 0 || (numSets_ & (numSets_ - 1)) != 0)
         fatal("Cache: set count must be a positive power of two");
     lines_.resize(numSets_ * params_.assoc);
+    if (params_.allowPinning)
+        pinned_.reserve(lines_.size());
     mshrBusy_.assign(std::max(1u, params_.mshrs), 0);
     while ((1u << lineShift_) < params_.lineBytes)
         ++lineShift_;
@@ -117,8 +119,12 @@ Cache::access(Addr addr, bool is_write, Tick now, std::uint64_t pin_seg,
         line->dirty = true;
         line->stamp = stamp;
         if (params_.allowPinning && pin_seg != noPin) {
-            if (line->pinSeg == noPin || pin_seg > line->pinSeg)
+            if (line->pinSeg == noPin) {
                 line->pinSeg = pin_seg;
+                pinned_.push_back(std::uint32_t(line - lines_.data()));
+            } else if (pin_seg > line->pinSeg) {
+                line->pinSeg = pin_seg;
+            }
         }
     }
     return result;
@@ -179,21 +185,29 @@ Cache::contains(Addr addr) const
 }
 
 void
+Cache::unpinBetween(std::uint64_t lo, std::uint64_t hi)
+{
+    std::size_t kept = 0;
+    for (const std::uint32_t idx : pinned_) {
+        Line &line = lines_[idx];
+        if (line.pinSeg >= lo && line.pinSeg <= hi)
+            line.pinSeg = noPin;
+        else
+            pinned_[kept++] = idx;
+    }
+    pinned_.resize(kept);
+}
+
+void
 Cache::unpinUpTo(std::uint64_t seg)
 {
-    for (auto &line : lines_) {
-        if (line.pinSeg != noPin && line.pinSeg <= seg)
-            line.pinSeg = noPin;
-    }
+    unpinBetween(0, seg);
 }
 
 void
 Cache::unpinFrom(std::uint64_t seg)
 {
-    for (auto &line : lines_) {
-        if (line.pinSeg != noPin && line.pinSeg >= seg)
-            line.pinSeg = noPin;
-    }
+    unpinBetween(seg, noPin - 1);
 }
 
 void
@@ -201,6 +215,7 @@ Cache::invalidateAll()
 {
     for (auto &line : lines_)
         line = Line{};
+    pinned_.clear();
     mruLineId_ = noLine;
     std::fill(mshrBusy_.begin(), mshrBusy_.end(), 0);
 }
@@ -212,15 +227,6 @@ Cache::reserveMshr(Tick start, Tick completion)
     Tick begin = std::max(start, *slot);
     *slot = begin + (completion - start);
     return begin;
-}
-
-std::uint64_t
-Cache::pinnedLineCount() const
-{
-    std::uint64_t n = 0;
-    for (const auto &line : lines_)
-        n += line.valid && line.pinSeg != noPin;
-    return n;
 }
 
 } // namespace mem

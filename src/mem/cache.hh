@@ -132,7 +132,7 @@ class Cache
     std::uint64_t misses() const { return misses_; }
     std::uint64_t evictions() const { return evictions_; }
     std::uint64_t pinnedBlocks() const { return pinnedBlocks_; }
-    std::uint64_t pinnedLineCount() const;
+    std::uint64_t pinnedLineCount() const { return pinned_.size(); }
     /** @} */
 
     /** Publish the raw counters as Gauges in @p g. */
@@ -173,6 +173,10 @@ class Cache
         return line_id == mruLineId_ ? mruLine_ : nullptr;
     }
 
+    /** Unpin every line pinned by a segment in [@p lo, @p hi], and
+     *  compact pinned_ to the lines that stay pinned. */
+    void unpinBetween(std::uint64_t lo, std::uint64_t hi);
+
     std::uint64_t tagOf(Addr addr) const;
     std::size_t setOf(Addr addr) const;
     Addr lineAddr(std::uint64_t tag, std::size_t set) const;
@@ -197,6 +201,14 @@ class Cache
     static constexpr std::uint64_t noLine = ~std::uint64_t(0);
     std::uint64_t mruLineId_ = noLine;
     Line *mruLine_ = nullptr;
+    /**
+     * Indices into lines_ of exactly the lines with pinSeg != noPin,
+     * so unpinning walks the pins, not the cache.  A pinned line is
+     * never a victim and pins only go by unpinUpTo/unpinFrom/
+     * invalidateAll, which keep the list exact; pinned lines are
+     * therefore always valid.
+     */
+    std::vector<std::uint32_t> pinned_;
     std::vector<Tick> mshrBusy_;
 
     std::uint64_t hits_ = 0;

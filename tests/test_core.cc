@@ -66,17 +66,55 @@ TEST(LogSegment, LineCopiesCarryDecodableEcc)
     }
 }
 
+/**
+ * A reopened segment is indistinguishable from a fresh one: the
+ * System recycles segments, so open() must reset every field a
+ * previous use touched.
+ */
 TEST(LogSegment, ReopenClearsState)
 {
+    isa::ArchState used_start;
+    used_start.writeX(5, 0xdead);
+    used_start.setPc(0x400);
+    isa::ArchState used_end = used_start;
+    used_end.writeX(6, 0xbeef);
+
     LogSegment seg;
-    isa::ArchState start;
-    seg.open(1, start, 0, 0);
+    seg.open(1, used_start, 7, 50);
     seg.appendLoad(0x100, 8, 1, 16);
+    seg.appendStore(0x108, 4, 2, 3, 24);
+    seg.appendLineCopy(0x1000, std::vector<std::uint8_t>(64, 0x5a), 80);
+    seg.setNextCheckerId(9);
+    seg.close(used_end, 42, 900);
+
+    isa::ArchState start;
+    start.writeX(1, 11);
+    start.setPc(0x80);
     seg.open(2, start, 10, 100);
-    EXPECT_EQ(seg.entries().size(), 0u);
-    EXPECT_EQ(seg.bytesUsed(), 0u);
+    LogSegment fresh;
+    fresh.open(2, start, 10, 100);
+
     EXPECT_EQ(seg.id(), 2u);
     EXPECT_EQ(seg.startInstIndex(), 10u);
+    EXPECT_EQ(seg.startTick(), 100u);
+    EXPECT_TRUE(seg.startState() == start);
+    EXPECT_EQ(seg.id(), fresh.id());
+    EXPECT_TRUE(seg.entries().empty());
+    EXPECT_EQ(seg.entries().size(), fresh.entries().size());
+    EXPECT_TRUE(seg.lineCopies().empty());
+    EXPECT_EQ(seg.lineCopies().size(), fresh.lineCopies().size());
+    EXPECT_FALSE(seg.hasLineCopy(0x1000));
+    EXPECT_EQ(seg.bytesUsed(), 0u);
+    EXPECT_EQ(seg.bytesUsed(), fresh.bytesUsed());
+    EXPECT_EQ(seg.instCount(), fresh.instCount());
+    EXPECT_EQ(seg.nextCheckerId(), fresh.nextCheckerId());
+    EXPECT_TRUE(seg.startState() == fresh.startState());
+    EXPECT_TRUE(seg.endState() == fresh.endState());
+    EXPECT_EQ(seg.startInstIndex(), fresh.startInstIndex());
+    EXPECT_EQ(seg.startTick(), fresh.startTick());
+    EXPECT_EQ(seg.closeTick(), fresh.closeTick());
+    EXPECT_EQ(seg.wouldOverflow(64, 64), fresh.wouldOverflow(64, 64));
+    EXPECT_FALSE(seg.wouldOverflow(64, 64));
 }
 
 TEST(CheckpointAimd, AdditiveIncreaseCapsAtMax)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -471,6 +472,201 @@ TEST(CacheFastPath, InlineReadHitMatchesAccessOnlyTwin)
     EXPECT_GT(inline_hits, 5000u);
     EXPECT_GT(twin.evictions(), 500u);
     EXPECT_GT(twin.pinnedBlocks(), 0u);
+}
+
+/**
+ * Brute-force reference for the pin bookkeeping: each line carries
+ * its pin, and every unpin and every count scans all lines.  Victim
+ * choice (an invalid way first, else the least recently used unpinned
+ * way), pins taking the youngest writer and cold prefetch fills follow
+ * Cache's documented rules.
+ */
+class PinScanCache
+{
+  public:
+    PinScanCache(unsigned sets, unsigned ways)
+        : sets_(sets), ways_(ways), lines_(sets * ways)
+    {
+    }
+
+    CacheOutcome
+    access(Addr addr, bool is_write, Tick now, std::uint64_t pin_seg)
+    {
+        CacheOutcome outcome = CacheOutcome::Hit;
+        Line *line = find(addr);
+        if (line) {
+            ++hits;
+        } else {
+            line = victim(addr);
+            if (!line) {
+                ++blocked;
+                return CacheOutcome::BlockedPinned;
+            }
+            evictions += line->valid;
+            ++misses;
+            *line = Line{true, tagOf(addr), 0, noPin};
+            outcome = CacheOutcome::Miss;
+        }
+        line->lastUsed = now;
+        if (is_write && pin_seg != noPin &&
+            (line->pinSeg == noPin || pin_seg > line->pinSeg))
+            line->pinSeg = pin_seg;
+        return outcome;
+    }
+
+    void
+    fill(Addr addr, Tick now)
+    {
+        if (find(addr))
+            return;
+        Line *line = victim(addr);
+        if (!line)
+            return;
+        evictions += line->valid;
+        *line = Line{true, tagOf(addr), now == 0 ? 0 : now - 1, noPin};
+    }
+
+    void
+    unpinUpTo(std::uint64_t seg)
+    {
+        for (Line &line : lines_)
+            if (line.pinSeg != noPin && line.pinSeg <= seg)
+                line.pinSeg = noPin;
+    }
+
+    void
+    unpinFrom(std::uint64_t seg)
+    {
+        for (Line &line : lines_)
+            if (line.pinSeg != noPin && line.pinSeg >= seg)
+                line.pinSeg = noPin;
+    }
+
+    void
+    invalidateAll()
+    {
+        for (Line &line : lines_)
+            line = Line{};
+    }
+
+    std::uint64_t
+    pinnedLines() const
+    {
+        std::uint64_t n = 0;
+        for (const Line &line : lines_)
+            n += line.valid && line.pinSeg != noPin;
+        return n;
+    }
+
+    bool contains(Addr addr) { return find(addr) != nullptr; }
+
+    std::uint64_t hits = 0, misses = 0, evictions = 0, blocked = 0;
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        std::uint64_t tag = 0;
+        Tick lastUsed = 0;
+        std::uint64_t pinSeg = noPin;
+    };
+
+    std::uint64_t tagOf(Addr addr) const { return (addr >> 6) / sets_; }
+    Line *set(Addr addr) { return &lines_[((addr >> 6) % sets_) * ways_]; }
+
+    Line *
+    find(Addr addr)
+    {
+        Line *base = set(addr);
+        for (unsigned w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].tag == tagOf(addr))
+                return &base[w];
+        return nullptr;
+    }
+
+    Line *
+    victim(Addr addr)
+    {
+        Line *base = set(addr);
+        for (unsigned w = 0; w < ways_; ++w)
+            if (!base[w].valid)
+                return &base[w];
+        Line *best = nullptr;
+        for (unsigned w = 0; w < ways_; ++w)
+            if (base[w].pinSeg == noPin &&
+                (!best || base[w].lastUsed < best->lastUsed))
+                best = &base[w];
+        return best;
+    }
+
+    unsigned sets_;
+    unsigned ways_;
+    std::vector<Line> lines_;
+};
+
+/**
+ * The cache's pinned-line list stays exact under every operation
+ * that pins or unpins: 20k random steps against PinScanCache, with
+ * pinned writes under rising segment ids, verify and rollback
+ * unpins, prefetch fills, wholesale invalidation and misses into
+ * fully pinned sets.
+ */
+TEST(Cache, PinnedListMatchesScanReference)
+{
+    Cache cache(tinyCache(true));
+    PinScanCache ref(4, 4);
+    Rng rng(11);
+    // 64 lines over 4 sets: 16 candidates per 4-way set, so pinned
+    // writes fill whole sets and later misses there block.
+    std::vector<Addr> lines;
+    for (Addr a = 0; a < 0x1000; a += 0x40)
+        lines.push_back(a);
+    std::uint64_t seg = 1;
+    Tick now = 10;
+    std::uint64_t max_pinned = 0;
+
+    for (int i = 0; i < 20000; ++i) {
+        now += 1 + rng.nextBounded(3);
+        const Addr a = lines[rng.nextBounded(lines.size())] +
+                       8 * rng.nextBounded(8);
+        const unsigned op = unsigned(rng.nextBounded(100));
+        SCOPED_TRACE(i);
+        if (op < 40) {
+            ASSERT_EQ(cache.access(a, true, now, seg, seg).outcome,
+                      ref.access(a, true, now, seg));
+        } else if (op < 70) {
+            ASSERT_EQ(cache.access(a, rng.nextBounded(2) != 0, now).outcome,
+                      ref.access(a, false, now, noPin));
+        } else if (op < 82) {
+            ++seg;  // the next segment starts filling
+        } else if (op < 91) {
+            const std::uint64_t upto = seg - rng.nextBounded(4);
+            cache.unpinUpTo(upto);
+            ref.unpinUpTo(upto);
+        } else if (op < 95) {
+            const std::uint64_t from = seg - rng.nextBounded(4);
+            cache.unpinFrom(from);
+            ref.unpinFrom(from);
+            ++seg;  // ids keep rising after a rollback
+        } else if (op < 99) {
+            cache.fill(a, now);
+            ref.fill(a, now);
+        } else {
+            cache.invalidateAll();
+            ref.invalidateAll();
+        }
+        ASSERT_EQ(cache.pinnedLineCount(), ref.pinnedLines());
+        ASSERT_EQ(cache.pinnedBlocks(), ref.blocked);
+        ASSERT_EQ(cache.hits(), ref.hits);
+        ASSERT_EQ(cache.misses(), ref.misses);
+        ASSERT_EQ(cache.evictions(), ref.evictions);
+        for (Addr l : lines)
+            ASSERT_EQ(cache.contains(l), ref.contains(l)) << l;
+        max_pinned = std::max(max_pinned, ref.pinnedLines());
+    }
+    // Every line pinned at once, and many misses into pinned sets.
+    EXPECT_EQ(max_pinned, 16u);
+    EXPECT_GT(ref.blocked, 500u);
 }
 
 TEST(CacheFastPath, InlineHitStampDecidesVictim)
