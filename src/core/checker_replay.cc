@@ -322,14 +322,19 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
             : Cycles(timeout_factor) * (segment.instCount() + 16);
 
     const unsigned count = segment.instCount();
-    Cycles cycles = 0;
+    // The checker's L0, resolved once per segment.  Checker cycles
+    // accumulate in outcome.totalCycles.
+    mem::Cache *const l0 = &timing.l0(checker_id);
 
     // The threaded-dispatch inner loop, devirtualized over the
     // log-replay adapter.  Injectors act between instructions, on the
     // architectural state the loop reads; a corrupted pc is the one
     // thing the loop does not re-read, so the sink stops the run and
     // the loop re-enters it at the new pc.  The sink is compiled once
-    // injecting and once quiet (tallying events instead).
+    // injecting and once quiet (tallying events instead).  It runs
+    // per replayed instruction, so it takes its constants by value and
+    // only the state it updates by reference: each access is then one
+    // load from the closure.
     std::shared_ptr<const isa::DecodedProgram> owned;
     if (!decoded) {
         owned = isa::DecodedProgram::get(prog);
@@ -340,7 +345,9 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
     std::uint64_t mem_left = 0;  // quiet run: loads/stores it may run
     const auto replay = [&](auto injecting, std::uint64_t max_uops) {
         constexpr bool inject = decltype(injecting)::value;
-        const auto sink = [&](const isa::CommitRecord &r) -> bool {
+        const auto sink = [&outcome, &log, &tally, &state, &plan, &timing,
+                           l0, checker_id, timing_offset, count, watchdog,
+                           vuln](const isa::CommitRecord &r) -> bool {
             if (!r.valid) {
                 // Wild fetch: invalid checker behaviour, caught by
                 // the hardware as an exception (paper figure 7).
@@ -348,8 +355,8 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
                 outcome.reason = DetectReason::InvalidBehavior;
                 return false;
             }
-            cycles += timing.instCycles(
-                checker_id, r.pc + timing_offset, *r.inst);
+            outcome.totalCycles += timing.instCycles(
+                *l0, checker_id, r.pc + timing_offset, r.cls);
             ++outcome.instructionsExecuted;
             if (log.diverged()) {
                 outcome.detected = true;
@@ -375,8 +382,8 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
             else
                 ++tally.hooked[std::size_t(r.cls)];
             // The watchdog is checked before each fetch.
-            if (outcome.instructionsExecuted != count &&
-                cycles > watchdog) {
+            if (outcome.totalCycles > watchdog &&
+                outcome.instructionsExecuted != count) {
                 outcome.detected = true;
                 outcome.reason = DetectReason::Timeout;
                 return false;
@@ -445,7 +452,7 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
         // End-of-segment checks: the entry stream must be exactly
         // consumed and the architectural state must match the
         // checkpoint the main core recorded.
-        cycles += final_compare_cycles;
+        outcome.totalCycles += final_compare_cycles;
         if (log.consumed() != segment.entries().size()) {
             outcome.detected = true;
             outcome.reason = DetectReason::EntryCountMismatch;
@@ -455,8 +462,7 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
         }
     }
 
-    outcome.cyclesAtDetection = cycles;
-    outcome.totalCycles = cycles;
+    outcome.cyclesAtDetection = outcome.totalCycles;
     return outcome;
 }
 

@@ -417,7 +417,7 @@ System::captureLineCopies(const isa::CommitRecord &r)
     }
 }
 
-void
+inline void
 System::logResult(const isa::CommitRecord &r)
 {
     const LogParams &log = config_.log;
@@ -729,6 +729,7 @@ System::closeSegmentAndDispatch()
     if (pc.detected)
         nextDetectTick_ = std::min(nextDetectTick_, pc.detectTick);
     pending_.push_back(std::move(pc));
+    refreshNextEvent();
 
     fillingChecker_ = -1;
     instsInSegment_ = 0;
@@ -869,6 +870,7 @@ System::waitForOldestRelease(Tick now)
     recycleSegment(std::move(front.segment));
     pending_.pop_front();
     noteForwardProgress(done);
+    refreshNextEvent();
     return done;
 }
 
@@ -887,6 +889,7 @@ System::retireVerifiedUpTo(Tick now)
         recycleSegment(std::move(front.segment));
         pending_.pop_front();
     }
+    refreshNextEvent();
 }
 
 std::uint64_t
@@ -1027,6 +1030,7 @@ System::performRollback(std::size_t idx, Tick stop)
     for (const PendingCheck &p : pending_)
         if (p.detected)
             nextDetectTick_ = std::min(nextDetectTick_, p.detectTick);
+    refreshNextEvent();
 
     Tick resume = stop + cost;
     if (tracing()) {
@@ -1157,6 +1161,7 @@ System::beginRun(const RunLimits &limits)
     limits_ = limits;
     halted_ = false;
     lastProgressTick_ = mainCore_->now();
+    refreshNextEvent();
     phase_ = Phase::Running;
     if (tracing()) {
         traceOperatingPoint(mainCore_->now());
@@ -1189,6 +1194,19 @@ System::watchdogDue(Tick now) const
 }
 
 void
+System::refreshNextEvent()
+{
+    Tick t = std::min(nextDetectTick_, limits_.maxTicks);
+    if (!pending_.empty())
+        t = std::min(t, pending_.front().finishTick);
+    // watchdogDue()'s deadline; one past maxTick it can never fire.
+    if (config_.mode != Mode::Baseline && watchdogTicks_ != 0 &&
+        lastProgressTick_ <= maxTick - watchdogTicks_)
+        t = std::min(t, lastProgressTick_ + watchdogTicks_);
+    nextEventTick_ = t;
+}
+
+void
 System::stepInstruction()
 {
     PARADOX_PROF_SCOPE("step");
@@ -1211,6 +1229,7 @@ System::stepInstruction()
             tracer_->instant(trFaults_, "watchdog-trip", now);
         panicResetVoltage(now);
         lastProgressTick_ = now;
+        refreshNextEvent();
     }
 
     if (config_.mode != Mode::Baseline) {
@@ -1266,7 +1285,7 @@ System::wildFetch()
         panic("System: wild main-core pc survived checking");
 }
 
-bool
+inline bool
 System::commit(const isa::CommitRecord &r)
 {
     if (!r.valid) {
@@ -1298,11 +1317,11 @@ System::commit(const isa::CommitRecord &r)
         !mainCoreFaultPlan_.empty() && maybeMainCoreFault(r);
 
     const bool mmio_store = r.isStore && isMmio(r.memAddr);
+    const std::uint64_t stamp = filling_ ? filling_->id() : 0;
     const std::uint64_t pin_seg =
         (config_.bufferUncheckedStores && filling_ && !mmio_store)
-            ? filling_->id()
+            ? stamp
             : mem::noPin;
-    const std::uint64_t stamp = filling_ ? filling_->id() : 0;
     {
         // The main core translates redundantly (section IV-D): the
         // timing path runs on physical addresses, and TLB-miss walks
@@ -1327,6 +1346,11 @@ System::commit(const isa::CommitRecord &r)
                            stamp);
     }
 
+    // Below nextEventTick_ no tick-driven test can fire (detection,
+    // tick limit, watchdog, verified retire); at or past it they run
+    // as written, in order.
+    const Tick now = mainCore_->now();
+    const bool event_due = now >= nextEventTick_;
     if (logging) {
         if (mmio_store) {
             // Uncacheable stores update external state and must be
@@ -1335,16 +1359,14 @@ System::commit(const isa::CommitRecord &r)
             // rollback rewinds past this store and it re-executes.
             ++mmioDrains_;
             if (tracing())
-                tracer_->instant(trMain_, "mmio-drain",
-                                 mainCore_->now());
+                tracer_->instant(trMain_, "mmio-drain", now);
             if (filling_ && instsInSegment_ > 0)
                 closeSegmentAndDispatch();
             drainChecks();
             return false;
         }
         // A rollback rewinds past this record, HALT included.
-        if (mainCore_->now() >= nextDetectTick_ &&
-            processDetections(mainCore_->now()))
+        if (event_due && now >= nextDetectTick_ && processDetections(now))
             return false;
     }
 
@@ -1357,14 +1379,16 @@ System::commit(const isa::CommitRecord &r)
     // would run it: anything beyond retiring verified checks ends
     // the batch so stepInstruction() does it in order.  (The count
     // limits and the AIMD target bound the batch up front.)
-    const Tick now = mainCore_->now();
-    if (corrupted || now >= limits_.maxTicks || watchdogDue(now))
+    if (corrupted)
         return false;
-    if (!logging)
-        return true;
-    if (!pending_.empty() && pending_.front().finishTick <= now)
-        retireVerifiedUpTo(now);
-    return filling_ != nullptr;
+    if (event_due) {
+        if (now >= limits_.maxTicks || watchdogDue(now))
+            return false;
+        if (logging && !pending_.empty() &&
+            pending_.front().finishTick <= now)
+            retireVerifiedUpTo(now);
+    }
+    return !logging || filling_ != nullptr;
 }
 
 void
@@ -1446,14 +1470,15 @@ System::commitBatch()
         return false;
     };
 
-    std::uint64_t uops = 0;
+    // commit() counts every valid record in executed_.
+    const std::uint64_t executed_before = executed_;
     const isa::RunStop stop = isa::runDecoded(
         *decodedProg_, archState_, memory_, max_uops,
-        [&](const isa::CommitRecord &r) {
-            uops += r.valid;
+        [this](const isa::CommitRecord &r) __attribute__((always_inline)) {
             return commit(r);
         },
         gate);
+    const std::uint64_t uops = executed_ - executed_before;
     if (uops > 0) {
         ++*sbBatches_;
         *sbUops_ += uops;

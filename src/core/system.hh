@@ -369,7 +369,8 @@ class System
     {
         constexpr std::uint64_t disarmed =
             std::numeric_limits<std::uint64_t>::max();
-        return r.isLoad && (eccGap_ != disarmed || dueGap_ != disarmed);
+        // Either gap armed: their AND is not all ones.
+        return r.isLoad && (eccGap_ & dueGap_) != disarmed;
     }
 
     /**
@@ -395,13 +396,17 @@ class System
      */
     void panicResetVoltage(Tick now);
 
-    /** A segment verified at @p when: feed the progress watchdog. */
+    /** A segment verified at @p when: feed the progress watchdog.
+     *  Its callers refresh nextEventTick_. */
     void
     noteForwardProgress(Tick when)
     {
         if (when > lastProgressTick_)
             lastProgressTick_ = when;
     }
+
+    /** Recompute nextEventTick_ from the thresholds it bounds. */
+    void refreshNextEvent();
 
     /**
      * Apply main-core fault injection after a committed record.
@@ -448,8 +453,12 @@ class System
      *         at most retiring verified checks, which is done here.
      *         The count limits and the AIMD target bound a batch up
      *         front.
+     *
+     * Force-inlined (system.cc is its only user): commitBatch()'s
+     * runDecoded() sink and the main-core kernel it calls are one
+     * function, with no per-record call set-up.
      */
-    bool commit(const isa::CommitRecord &r);
+    [[gnu::always_inline]] inline bool commit(const isa::CommitRecord &r);
 
     /** A fetch left the image (nothing executed): cut and drain. */
     void wildFetch();
@@ -463,8 +472,10 @@ class System
     /** One Draining-phase wait; updates phase_. */
     void stepDrain();
 
-    /** Append @p r's memory activity to the filling segment. */
-    void logResult(const isa::CommitRecord &r);
+    /** Append @p r's memory activity to the filling segment.  Part of
+     *  the per-commit kernel, so force-inlined like commit(). */
+    [[gnu::always_inline]] inline void
+    logResult(const isa::CommitRecord &r);
 
     /**
      * Log bytes the *next* instruction will consume, from its peeked
@@ -590,6 +601,18 @@ class System
      * never remove a detected entry, so they leave it unchanged.
      */
     Tick nextDetectTick_ = maxTick;
+    /**
+     * A lower bound on every tick at which commit()'s tick-driven
+     * tests can fire: nextDetectTick_, limits_.maxTicks, the watchdog
+     * deadline (lastProgressTick_ + watchdogTicks_) and the oldest
+     * pending check's finishTick.  Below it commit() skips all four
+     * with one compare.  refreshNextEvent() recomputes it wherever
+     * one of them changes: beginRun(), the watchdog trip, the push in
+     * closeSegmentAndDispatch(), the pops in waitForOldestRelease()
+     * and retireVerifiedUpTo(), and the erase in performRollback().
+     * 0 (everything due) until the first refresh.
+     */
+    Tick nextEventTick_ = 0;
     /**
      * Spare segments, recycled so a checkpoint reuses a dead
      * segment's log buffers instead of allocating.  Every segment

@@ -50,14 +50,16 @@ class TournamentPredictor
      * Predict the instruction at @p pc.  Jumps predict taken; their
      * targets come from the RAS (returns) or BTB (everything else).
      */
-    Prediction predict(Addr pc, const isa::Instruction &inst);
+    [[gnu::always_inline]] Prediction predict(Addr pc,
+                                              const isa::Instruction &inst);
 
     /**
      * Train with the resolved outcome and repair speculative state.
      * @return true if the prediction was wrong (direction or target).
      */
-    bool update(Addr pc, const isa::Instruction &inst, bool taken,
-                Addr target);
+    [[gnu::always_inline]] bool update(Addr pc,
+                                       const isa::Instruction &inst,
+                                       bool taken, Addr target);
 
     /** @{ Statistics. */
     std::uint64_t lookups() const { return lookups_; }
@@ -78,16 +80,58 @@ class TournamentPredictor
     void reset();
 
   private:
-    static bool counterTaken(std::uint8_t c, std::uint8_t max);
-    static void train(std::uint8_t &c, bool taken, std::uint8_t max);
+    static bool
+    counterTaken(std::uint8_t c, std::uint8_t max)
+    {
+        return c > max / 2;
+    }
 
-    unsigned localIndex(Addr pc) const;
-    unsigned globalIndex() const;
-    unsigned chooserIndex(Addr pc) const;
-    unsigned btbIndex(Addr pc) const;
+    static void
+    train(std::uint8_t &c, bool taken, std::uint8_t max)
+    {
+        if (taken) {
+            if (c < max)
+                ++c;
+        } else {
+            if (c > 0)
+                --c;
+        }
+    }
 
-    bool isCall(const isa::Instruction &inst) const;
-    bool isReturn(const isa::Instruction &inst) const;
+    unsigned
+    localIndex(Addr pc) const
+    {
+        return (pc / isa::instBytes) & localMask_;
+    }
+
+    unsigned globalIndex() const { return globalHistory_ & globalMask_; }
+
+    unsigned
+    chooserIndex(Addr pc) const
+    {
+        return (pc / isa::instBytes) & chooserMask_;
+    }
+
+    unsigned
+    btbIndex(Addr pc) const
+    {
+        return (pc / isa::instBytes) & btbMask_;
+    }
+
+    /** A jump that records a return address is a call. */
+    static bool
+    isCall(const isa::Instruction &inst)
+    {
+        return (inst.op == isa::Opcode::JAL ||
+                inst.op == isa::Opcode::JALR) && inst.rd != 0;
+    }
+
+    /** An indirect jump without a link register is a return. */
+    static bool
+    isReturn(const isa::Instruction &inst)
+    {
+        return inst.op == isa::Opcode::JALR && inst.rd == 0;
+    }
 
     Params params_;
     /** Table sizes are power-of-two (checked in the ctor), so the
@@ -119,6 +163,109 @@ class TournamentPredictor
     std::uint64_t lookups_ = 0;
     std::uint64_t mispredicts_ = 0;
 };
+
+inline TournamentPredictor::Prediction
+TournamentPredictor::predict(Addr pc, const isa::Instruction &inst)
+{
+    ++lookups_;
+    // Scalars, stored field by field: copying a just-built Prediction
+    // into lastPrediction_ would reload it before its stores retire.
+    bool taken = false;
+    Addr target = 0;
+    bool target_known = false;
+    const isa::InstInfo &ii = inst.info();
+
+    if (ii.isJump) {
+        taken = true;
+        if (isReturn(inst) && rasTop_ > 0) {
+            target = ras_[(rasTop_ - 1) & rasMask_];
+            target_known = true;
+            --rasTop_;
+        } else {
+            const BtbEntry &entry = btb_[btbIndex(pc)];
+            if (entry.valid && entry.pc == pc) {
+                target = entry.target;
+                target_known = true;
+            }
+        }
+        if (isCall(inst)) {
+            ras_[rasTop_ & rasMask_] = pc + isa::instBytes;
+            ++rasTop_;
+        }
+    } else if (ii.isBranch) {
+        const unsigned li = localIndex(pc);
+        const std::uint16_t hist = localHistory_[li];
+        const bool local_taken = counterTaken(
+            localCounters_[hist & localMask_], 7);
+        const bool global_taken =
+            counterTaken(globalCounters_[globalIndex()], 3);
+        lastChoseGlobal_ = counterTaken(chooser_[chooserIndex(pc)], 3);
+        taken = lastChoseGlobal_ ? global_taken : local_taken;
+        if (taken) {
+            const BtbEntry &entry = btb_[btbIndex(pc)];
+            if (entry.valid && entry.pc == pc) {
+                target = entry.target;
+                target_known = true;
+            }
+        }
+    }
+
+    lastPrediction_.taken = taken;
+    lastPrediction_.target = target;
+    lastPrediction_.targetKnown = target_known;
+    return Prediction{taken, target, target_known};
+}
+
+inline bool
+TournamentPredictor::update(Addr pc, const isa::Instruction &inst,
+                            bool taken, Addr target)
+{
+    const isa::InstInfo &ii = inst.info();
+    bool mispredicted = false;
+
+    if (ii.isBranch) {
+        const unsigned li = localIndex(pc);
+        const std::uint16_t hist = localHistory_[li];
+        std::uint8_t &local_ctr =
+            localCounters_[hist & localMask_];
+        std::uint8_t &global_ctr = globalCounters_[globalIndex()];
+        const bool local_taken = counterTaken(local_ctr, 7);
+        const bool global_taken = counterTaken(global_ctr, 3);
+
+        // Chooser trains toward whichever component was right.
+        if (local_taken != global_taken) {
+            train(chooser_[chooserIndex(pc)], global_taken == taken, 3);
+        }
+        train(local_ctr, taken, 7);
+        train(global_ctr, taken, 3);
+
+        const std::uint16_t mask =
+            (std::uint16_t(1) << params_.localHistoryBits) - 1;
+        localHistory_[li] =
+            std::uint16_t(((hist << 1) | (taken ? 1 : 0)) & mask);
+        globalHistory_ = ((globalHistory_ << 1) | (taken ? 1 : 0)) &
+                         ((std::uint64_t(1) << params_.globalHistoryBits)
+                          - 1);
+
+        mispredicted = lastPrediction_.taken != taken ||
+                       (taken && (!lastPrediction_.targetKnown ||
+                                  lastPrediction_.target != target));
+    } else if (ii.isJump) {
+        mispredicted = !lastPrediction_.targetKnown ||
+                       lastPrediction_.target != target;
+    }
+
+    if ((ii.isBranch && taken) || ii.isJump) {
+        BtbEntry &entry = btb_[btbIndex(pc)];
+        entry.valid = true;
+        entry.pc = pc;
+        entry.target = target;
+    }
+
+    if (mispredicted)
+        ++mispredicts_;
+    return mispredicted;
+}
 
 } // namespace cpu
 } // namespace paradox

@@ -28,18 +28,23 @@ CheckerTiming::CheckerTiming(const CheckerParams &params)
     sharedL1_ = std::make_unique<mem::Cache>(l1);
 }
 
-Cycles
-CheckerTiming::instCyclesSlow(unsigned id, Addr pc,
-                              const isa::Instruction &inst)
+mem::Cache &
+CheckerTiming::l0(unsigned id)
 {
     if (id >= l0_.size())
         panic("CheckerTiming: checker id out of range");
+    return *l0_[id];
+}
 
+Cycles
+CheckerTiming::instCyclesSlow(unsigned id, Addr pc, isa::InstClass cls)
+{
+    mem::Cache &l0_cache = l0(id);
     ++lruClock_;
     Cycles cycles = 0;
 
     // Fetch: private L0, then the shared L1, then the main L2 path.
-    auto l0r = l0_[id]->access(pc, false, lruClock_);
+    auto l0r = l0_cache.access(pc, false, lruClock_);
     if (l0r.outcome != mem::CacheOutcome::Hit) {
         auto l1r = sharedL1_->access(pc, false, lruClock_);
         cycles += params_.sharedL1Cycles;
@@ -48,7 +53,7 @@ CheckerTiming::instCyclesSlow(unsigned id, Addr pc,
     }
 
     // Execute: long latencies stall the in-order pipe.
-    return cycles + isa::checkerExecCycles(inst.info().cls);
+    return cycles + isa::checkerExecCycles(cls);
 }
 
 void

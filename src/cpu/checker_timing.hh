@@ -71,12 +71,28 @@ class CheckerTiming
     Cycles
     instCycles(unsigned id, Addr pc, const isa::Instruction &inst)
     {
-        if (id < l0_.size() && l0_[id]->tryReadHit(pc, lruClock_ + 1)) {
-            ++lruClock_;
-            return isa::checkerExecCycles(inst.info().cls);
-        }
-        return instCyclesSlow(id, pc, inst);
+        if (id < l0_.size())
+            return instCycles(*l0_[id], id, pc, inst.info().cls);
+        return instCyclesSlow(id, pc, inst.info().cls);
     }
+
+    /**
+     * instCycles() for a replay loop that resolved checker @p id's L0
+     * once (@p l0 == l0(id)) and takes the class from the commit
+     * record.
+     */
+    Cycles
+    instCycles(mem::Cache &l0, unsigned id, Addr pc, isa::InstClass cls)
+    {
+        if (l0.tryReadHit(pc, lruClock_ + 1)) {
+            ++lruClock_;
+            return isa::checkerExecCycles(cls);
+        }
+        return instCyclesSlow(id, pc, cls);
+    }
+
+    /** Checker @p id's private L0 I-cache; panics if out of range. */
+    mem::Cache &l0(unsigned id);
 
     /** Power gating flushed checker @p id's L0 I-cache. */
     void powerGated(unsigned id);
@@ -99,8 +115,7 @@ class CheckerTiming
 
   private:
     /** instCycles() past the same-line L0 hit: the full fetch path. */
-    Cycles instCyclesSlow(unsigned id, Addr pc,
-                          const isa::Instruction &inst);
+    Cycles instCyclesSlow(unsigned id, Addr pc, isa::InstClass cls);
 
     CheckerParams params_;
     ClockDomain clock_;

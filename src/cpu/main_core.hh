@@ -19,6 +19,8 @@
 #ifndef PARADOX_CPU_MAIN_CORE_HH
 #define PARADOX_CPU_MAIN_CORE_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -107,10 +109,11 @@ class MainCore
      * timing path -- fetch, data access, and predictor indexing --
      * runs on @p fetch_pc / @p mem_addr / @p next_pc so the commit
      * loop does not have to copy and patch the whole record.
+     * Force-inlined (defined below): it is the per-commit kernel.
      */
-    CommitTiming advance(const isa::CommitRecord &r, Addr fetch_pc,
-                         Addr mem_addr, Addr next_pc,
-                         std::uint64_t pin_seg, std::uint64_t stamp);
+    [[gnu::always_inline]] CommitTiming
+    advance(const isa::CommitRecord &r, Addr fetch_pc, Addr mem_addr,
+            Addr next_pc, std::uint64_t pin_seg, std::uint64_t stamp);
 
     /** Set the handler for pinned-set stalls. */
     void setPinnedStallResolver(PinnedStallResolver resolver)
@@ -154,29 +157,84 @@ class MainCore
     }
 
   private:
+    /**
+     * How a non-memory instruction class issues: @p units FUs from
+     * fuBusy_[first], busy @p latency cycles; 0 units is no FU (done
+     * one cycle after its operands are ready).  Built once from
+     * MainCoreParams, so advance() indexes a table instead of
+     * switching on the class.
+     */
+    struct FuRoute
+    {
+        unsigned first = 0;
+        unsigned units = 0;
+        unsigned latency = 1;
+        bool pipelined = true;
+    };
+
     Tick cycles(unsigned n) const { return clock_.cyclesToTicks(n); }
 
     /**
-     * period / width, memoized: DVFS can retune the clock between
+     * @p period / width, memoized: DVFS can retune the clock between
      * instructions, so the quotient is revalidated with a compare
      * rather than recomputed with a divide per fetch/commit slot.
      */
     Tick
-    slotTicks() const
+    slotTicks(Tick period) const
     {
-        if (clock_.period() != slotPeriod_) {
-            slotPeriod_ = clock_.period();
-            slotTicks_ = slotPeriod_ / params_.width;
+        if (period != slotPeriod_) {
+            slotPeriod_ = period;
+            slotTicks_ = period / params_.width;
         }
         return slotTicks_;
     }
 
-    /** Ready tick of a record's encoded source registers. */
-    Tick sourceReady(const isa::CommitRecord &r) const;
+    /** Ready tick of a record's encoded source registers: srcNone
+     *  reads regReady_'s slot pinned at 0. */
+    Tick
+    sourceReady(const isa::CommitRecord &r) const
+    {
+        return std::max({regReady_[r.srcA], regReady_[r.srcB],
+                         regReady_[r.srcC]});
+    }
 
-    /** Issue through a functional-unit group; returns complete tick. */
-    Tick useFu(std::vector<Tick> &group, Tick ready, unsigned latency,
-               bool pipelined);
+    /** Issue through @p fu at @p ready; returns the complete tick. */
+    Tick
+    useFu(const FuRoute &fu, Tick ready, Tick period)
+    {
+        if (fu.units == 0)
+            return ready + period;
+        // The first least-busy unit, as std::min_element picks it;
+        // selects, not branches, on the busy times.
+        Tick *const busy = fuBusy_.data() + fu.first;
+        unsigned best = 0;
+        Tick best_t = busy[0];
+        for (unsigned i = 1; i < fu.units; ++i) {
+            const bool less = busy[i] < best_t;
+            best = less ? i : best;
+            best_t = less ? busy[i] : best_t;
+        }
+        Tick *const slot = busy + best;
+        const Tick start = std::max(ready, best_t);
+        const Tick complete = start + fu.latency * period;
+        // Pipelined units accept a new op next cycle; unpipelined ones
+        // (dividers) block until completion.
+        *slot = fu.pipelined ? start + period : complete;
+        return complete;
+    }
+
+    /** @{ The pinned-set stall loops, after the first access at
+     *  @p issue (load) or at @p commit (store) was BlockedPinned.  The
+     *  resolver may close a segment and retune the clock; the store
+     *  form also delays @p commit and the commit slots. */
+    mem::DataAccessResult loadAfterPinnedStall(Addr mem_addr, Addr pc,
+                                               Tick issue,
+                                               std::uint64_t stamp);
+    mem::DataAccessResult storeAfterPinnedStall(Addr mem_addr, Addr pc,
+                                                Tick &commit,
+                                                std::uint64_t pin_seg,
+                                                std::uint64_t stamp);
+    /** @} */
 
     MainCoreParams params_;
     ClockDomain &clock_;
@@ -189,17 +247,23 @@ class MainCore
     Tick nextCommitSlot_ = 0;
     Tick lastCommit_ = 0;
 
-    std::vector<Tick> regReadyX_;
-    std::vector<Tick> regReadyF_;
+    /**
+     * Register ready ticks, indexed by the encoded source byte: x<i>
+     * at i, f<i> at srcFpBit | i.  Slot srcNone stays 0 (resetPipeline
+     * re-zeroes it), so an unused operand needs no test.
+     */
+    std::array<Tick, 256> regReady_{};
     std::vector<Tick> robRing_;
     std::vector<Tick> iqRing_;
     std::vector<Tick> lqRing_;
     std::vector<Tick> sqRing_;
     std::size_t robHead_ = 0, iqHead_ = 0, lqHead_ = 0, sqHead_ = 0;
 
-    std::vector<Tick> intAluBusy_;
-    std::vector<Tick> fpAluBusy_;
-    std::vector<Tick> multDivBusy_;
+    /** Busy-until ticks of every FU: the int ALUs, then the FP ALUs,
+     *  then the mult/div units. */
+    std::vector<Tick> fuBusy_;
+    std::array<FuRoute, std::size_t(isa::InstClass::NumClasses)>
+        routes_{};
 
     mutable Tick slotPeriod_ = 0;  //!< clock period slotTicks_ is for
     mutable Tick slotTicks_ = 0;
@@ -207,6 +271,119 @@ class MainCore
     std::uint64_t committed_ = 0;
     std::uint64_t mispredicts_ = 0;
 };
+
+inline CommitTiming
+MainCore::advance(const isa::CommitRecord &r, Addr fetch_pc,
+                  Addr mem_addr, Addr next_pc, std::uint64_t pin_seg,
+                  std::uint64_t stamp)
+{
+    CommitTiming timing;
+    // Every tick constant below derives from this period.  Only the
+    // pinned-stall resolver can retune the clock mid-instruction
+    // (closing a segment runs the DVFS step), so both are read again
+    // after the load's stall loop; nothing after the store's uses
+    // them.
+    Tick period = clock_.period();
+    Tick slot = slotTicks(period);
+
+    // ---- Fetch ----------------------------------------------------
+    const Tick fetch_start = std::max(fetchReadyAt_, nextFetchSlot_);
+    const Tick fetch_done = hierarchy_.instFetch(fetch_pc, fetch_start);
+    // Bandwidth: 'width' sequential fetches per cycle; an I-cache
+    // miss additionally holds the in-order frontend.
+    nextFetchSlot_ = std::max(fetch_start + slot, fetch_done - period);
+
+    // ---- Decode / rename ------------------------------------------
+    Tick dispatch = fetch_done + params_.frontendCycles * period;
+
+    // ---- Structural occupancy (ROB/IQ/LQ/SQ rings) -----------------
+    dispatch = std::max(dispatch, robRing_[robHead_]);
+    dispatch = std::max(dispatch, iqRing_[iqHead_]);
+    if (r.isLoad)
+        dispatch = std::max(dispatch, lqRing_[lqHead_]);
+    if (r.isStore)
+        dispatch = std::max(dispatch, sqRing_[sqHead_]);
+
+    // ---- Operand readiness ----------------------------------------
+    const Tick ready = std::max(dispatch, sourceReady(r));
+
+    // ---- Issue + execute ------------------------------------------
+    Tick complete;
+    if (r.isLoad) {
+        mem::DataAccessResult d = hierarchy_.dataAccess(
+            mem_addr, fetch_pc, false, ready, mem::noPin, stamp);
+        if (d.blockedPinned) {
+            d = loadAfterPinnedStall(mem_addr, fetch_pc, ready, stamp);
+            period = clock_.period();
+            slot = slotTicks(period);
+        }
+        complete = d.completeAt;
+        timing.l1dHit = d.l1Hit;
+    } else if (r.isStore) {
+        // Stores complete at issue (into the SQ) and access the
+        // cache at commit time, below.
+        complete = ready + period;
+    } else {
+        complete = useFu(routes_[std::size_t(r.cls)], ready, period);
+    }
+
+    // ---- Branch resolution ----------------------------------------
+    if (r.isBranch || r.isJump) {
+        predictor_.predict(fetch_pc, *r.inst);
+        if (predictor_.update(fetch_pc, *r.inst, r.isJump || r.taken,
+                              next_pc)) {
+            timing.mispredicted = true;
+            ++mispredicts_;
+            const Tick redirect =
+                complete + params_.redirectCycles * period;
+            fetchReadyAt_ = std::max(fetchReadyAt_, redirect);
+            nextFetchSlot_ = std::max(nextFetchSlot_, redirect);
+        }
+    }
+
+    // ---- Commit (in order, width-limited) --------------------------
+    Tick commit = std::max({complete, nextCommitSlot_, lastCommit_});
+    nextCommitSlot_ = commit + slot;
+    lastCommit_ = commit;
+    ++committed_;
+
+    // ---- Stores hit the cache at commit ----------------------------
+    if (r.isStore) {
+        mem::DataAccessResult d = hierarchy_.dataAccess(
+            mem_addr, fetch_pc, true, commit, pin_seg, stamp);
+        if (d.blockedPinned)
+            d = storeAfterPinnedStall(mem_addr, fetch_pc, commit,
+                                      pin_seg, stamp);
+        timing.l1dHit = d.l1Hit;
+        timing.needsLineCopy = d.needsLineCopy;
+    }
+
+    // ---- Scoreboard updates ----------------------------------------
+    if (r.wroteInt)
+        regReady_[r.rd] = complete;
+    if (r.wroteFp)
+        regReady_[r.rd | isa::srcFpBit] = complete;
+
+    robRing_[robHead_] = commit;
+    if (++robHead_ == params_.robEntries)
+        robHead_ = 0;
+    iqRing_[iqHead_] = complete;
+    if (++iqHead_ == params_.iqEntries)
+        iqHead_ = 0;
+    if (r.isLoad) {
+        lqRing_[lqHead_] = commit;
+        if (++lqHead_ == params_.lqEntries)
+            lqHead_ = 0;
+    }
+    if (r.isStore) {
+        sqRing_[sqHead_] = commit;
+        if (++sqHead_ == params_.sqEntries)
+            sqHead_ = 0;
+    }
+
+    timing.commitAt = commit;
+    return timing;
+}
 
 } // namespace cpu
 } // namespace paradox

@@ -115,18 +115,8 @@ Cache::access(Addr addr, bool is_write, Tick now, std::uint64_t pin_seg,
     mruLine_ = line;
     line->lastUsed = now;
     result.lineStampMatched = line->stamp == stamp;
-    if (is_write) {
-        line->dirty = true;
-        line->stamp = stamp;
-        if (params_.allowPinning && pin_seg != noPin) {
-            if (line->pinSeg == noPin) {
-                line->pinSeg = pin_seg;
-                pinned_.push_back(std::uint32_t(line - lines_.data()));
-            } else if (pin_seg > line->pinSeg) {
-                line->pinSeg = pin_seg;
-            }
-        }
-    }
+    if (is_write)
+        write(*line, pin_seg, stamp);
     return result;
 }
 

@@ -93,11 +93,33 @@ class Cache
     bool
     tryReadHit(Addr addr, Tick now)
     {
-        Line *line = mruHit(addr >> lineShift_);
-        if (!line)
+        // mruHit()'s compare alone: a matching id implies mruLine_.
+        if ((addr >> lineShift_) != mruLineId_)
             return false;
         ++hits_;
-        line->lastUsed = now;
+        mruLine_->lastUsed = now;
+        return true;
+    }
+
+    /**
+     * The inline same-line write hit: exactly access(@p addr, true,
+     * @p now, @p pin_seg, @p stamp) when @p addr falls in the line the
+     * previous access resolved and that line is still valid -- ++hits,
+     * the same LRU stamp, @p stamp_matched set to the result's
+     * lineStampMatched, then the dirty bit, checkpoint stamp and pin
+     * (pinned_ included).  Anything else returns false and changes
+     * nothing, @p stamp_matched included.
+     */
+    bool
+    tryWriteHit(Addr addr, Tick now, std::uint64_t pin_seg,
+                std::uint64_t stamp, bool &stamp_matched)
+    {
+        if ((addr >> lineShift_) != mruLineId_)
+            return false;
+        ++hits_;
+        mruLine_->lastUsed = now;
+        stamp_matched = mruLine_->stamp == stamp;
+        write(*mruLine_, pin_seg, stamp);
         return true;
     }
 
@@ -171,6 +193,24 @@ class Cache
     mruHit(std::uint64_t line_id) const
     {
         return line_id == mruLineId_ ? mruLine_ : nullptr;
+    }
+
+    /** A write to resident @p line: dirty it, stamp it with @p stamp
+     *  and, when pinning, pin it under @p pin_seg (pins take the max;
+     *  a newly pinned line joins pinned_). */
+    void
+    write(Line &line, std::uint64_t pin_seg, std::uint64_t stamp)
+    {
+        line.dirty = true;
+        line.stamp = stamp;
+        if (params_.allowPinning && pin_seg != noPin) {
+            if (line.pinSeg == noPin) {
+                line.pinSeg = pin_seg;
+                pinned_.push_back(std::uint32_t(&line - lines_.data()));
+            } else if (pin_seg > line.pinSeg) {
+                line.pinSeg = pin_seg;
+            }
+        }
     }
 
     /** Unpin every line pinned by a segment in [@p lo, @p hi], and

@@ -82,7 +82,7 @@ CacheHierarchy::instFetchSlow(Addr pc, Tick now)
 }
 
 DataAccessResult
-CacheHierarchy::dataAccess(Addr addr, Addr pc, bool is_write, Tick now,
+CacheHierarchy::dataAccessSlow(Addr addr, Addr pc, bool is_write, Tick now,
                            std::uint64_t pin_seg, std::uint64_t stamp)
 {
     DataAccessResult result;

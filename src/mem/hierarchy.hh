@@ -85,15 +85,38 @@ class CacheHierarchy
     }
 
     /**
-     * Data-side access at @p now.
+     * Data-side access at @p now.  An access to the line the L1D
+     * resolved last is inline (Cache::tryReadHit, Cache::tryWriteHit);
+     * the rest is dataAccessSlow(), which gives the same result for
+     * that hit.
      * @param pc the accessing instruction (feeds the L2 prefetcher)
      * @param pin_seg segment to pin a written line under (noPin for
      *        fault-intolerant/detection-only runs)
      * @param stamp current checkpoint id for line-copy decisions
      */
-    DataAccessResult dataAccess(Addr addr, Addr pc, bool is_write,
-                                Tick now, std::uint64_t pin_seg = noPin,
-                                std::uint64_t stamp = 0);
+    [[gnu::always_inline]] DataAccessResult
+    dataAccess(Addr addr, Addr pc, bool is_write, Tick now,
+               std::uint64_t pin_seg = noPin, std::uint64_t stamp = 0)
+    {
+        bool stamp_matched = true;  // reads never need a line copy
+        if (is_write ? l1d_.tryWriteHit(addr, now, pin_seg, stamp,
+                                        stamp_matched)
+                     : l1d_.tryReadHit(addr, now)) {
+            DataAccessResult result;
+            result.completeAt = now + cycles(l1d_.hitCycles());
+            result.l1Hit = true;
+            result.needsLineCopy = !stamp_matched;
+            return result;
+        }
+        return dataAccessSlow(addr, pc, is_write, now, pin_seg, stamp);
+    }
+
+    /** dataAccess() without the inline same-line hit: the full L1D
+     *  lookup, and on a miss the L2, DRAM and prefetcher. */
+    DataAccessResult dataAccessSlow(Addr addr, Addr pc, bool is_write,
+                                    Tick now,
+                                    std::uint64_t pin_seg = noPin,
+                                    std::uint64_t stamp = 0);
 
     /** A segment verified: release its pinned lines. */
     void segmentVerified(std::uint64_t seg) { l1d_.unpinUpTo(seg); }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <vector>
@@ -518,6 +520,320 @@ TEST(CheckerTiming, SameLineFetchMissesAfterPowerGate)
     EXPECT_GT(timing.instCycles(2, 0x88, add),
               checkerExecCycles(InstClass::IntAlu));
     EXPECT_EQ(timing.l0Misses(), misses + 1);
+}
+
+/**
+ * The main-core timing model as it was before the per-commit kernel:
+ * the class switch, separate int and FP scoreboards, std::min_element
+ * over per-group FU vectors and every tick constant read from the
+ * clock where it is used.  KernelMatchesReferenceModel holds
+ * cpu::MainCore to it record for record.
+ */
+class ReferenceCore
+{
+  public:
+    using Resolver = std::function<Tick(Tick)>;
+
+    ReferenceCore(const cpu::MainCoreParams &params, ClockDomain &clock,
+                  mem::CacheHierarchy &hier, Resolver resolver)
+        : params_(params), clock_(clock), hier_(hier),
+          predictor_(params.predictor), resolver_(std::move(resolver)),
+          regX_(numIntRegs, 0), regF_(numFpRegs, 0),
+          rob_(params.robEntries, 0), iq_(params.iqEntries, 0),
+          lq_(params.lqEntries, 0), sq_(params.sqEntries, 0),
+          intAlu_(params.intAlus, 0), fpAlu_(params.fpAlus, 0),
+          multDiv_(params.multDivAlus, 0)
+    {}
+
+    Tick now() const { return lastCommit_; }
+
+    void
+    resetPipeline(Tick at)
+    {
+        fetchReadyAt_ = nextFetchSlot_ = nextCommitSlot_ = at;
+        lastCommit_ = at;
+        for (auto *v : {&regX_, &regF_, &rob_, &iq_, &lq_, &sq_, &intAlu_,
+                        &fpAlu_, &multDiv_})
+            std::fill(v->begin(), v->end(), at);
+    }
+
+    cpu::CommitTiming
+    advance(const CommitRecord &r, std::uint64_t pin_seg,
+            std::uint64_t stamp)
+    {
+        cpu::CommitTiming timing;
+        const Addr pc = r.pc, addr = r.memAddr;
+        Tick fetch_start = std::max(fetchReadyAt_, nextFetchSlot_);
+        Tick fetch_done = hier_.instFetch(pc, fetch_start);
+        nextFetchSlot_ = std::max(fetch_start + slotTicks(),
+                                  fetch_done - cycles(1));
+        Tick dispatch = fetch_done + cycles(params_.frontendCycles);
+        dispatch = std::max(dispatch, rob_[robHead_]);
+        dispatch = std::max(dispatch, iq_[iqHead_]);
+        if (r.isLoad)
+            dispatch = std::max(dispatch, lq_[lqHead_]);
+        if (r.isStore)
+            dispatch = std::max(dispatch, sq_[sqHead_]);
+        Tick src = 0;
+        for (std::uint8_t s : {r.srcA, r.srcB, r.srcC}) {
+            if (s == srcNone)
+                continue;
+            src = std::max(src, srcIsFp(s) ? regF_[srcIdx(s)]
+                                           : regX_[srcIdx(s)]);
+        }
+        const Tick ready = std::max(dispatch, src);
+
+        Tick complete = ready;
+        if (r.isLoad) {
+            Tick issue = ready;
+            for (;;) {
+                auto d = hier_.dataAccessSlow(addr, pc, false, issue,
+                                              mem::noPin, stamp);
+                if (!d.blockedPinned) {
+                    complete = d.completeAt;
+                    timing.l1dHit = d.l1Hit;
+                    break;
+                }
+                issue = resolver_(issue);
+            }
+        } else if (r.isStore) {
+            complete = ready + cycles(1);
+        } else {
+            switch (r.cls) {
+              case InstClass::IntAlu:
+              case InstClass::Branch:
+              case InstClass::Jump:
+                complete = useFu(intAlu_, ready, params_.intAluLat, true);
+                break;
+              case InstClass::IntMult:
+                complete = useFu(multDiv_, ready, params_.intMultLat, true);
+                break;
+              case InstClass::IntDiv:
+                complete = useFu(multDiv_, ready, params_.intDivLat, false);
+                break;
+              case InstClass::FpAlu:
+                complete = useFu(fpAlu_, ready, params_.fpAluLat, true);
+                break;
+              case InstClass::FpMult:
+                complete = useFu(multDiv_, ready, params_.fpMultLat, true);
+                break;
+              case InstClass::FpDiv:
+                complete = useFu(multDiv_, ready, params_.fpDivLat, false);
+                break;
+              default:
+                complete = ready + cycles(1);
+                break;
+            }
+        }
+
+        if (r.isBranch || r.isJump) {
+            predictor_.predict(pc, *r.inst);
+            if (predictor_.update(pc, *r.inst, r.isJump ? true : r.taken,
+                                  r.nextPc)) {
+                timing.mispredicted = true;
+                Tick redirect = complete + cycles(params_.redirectCycles);
+                fetchReadyAt_ = std::max(fetchReadyAt_, redirect);
+                nextFetchSlot_ = std::max(nextFetchSlot_, redirect);
+            }
+        }
+
+        Tick commit = std::max(complete, nextCommitSlot_);
+        commit = std::max(commit, lastCommit_);
+        nextCommitSlot_ = commit + slotTicks();
+        lastCommit_ = commit;
+
+        if (r.isStore) {
+            Tick at = commit;
+            for (;;) {
+                auto d = hier_.dataAccessSlow(addr, pc, true, at, pin_seg,
+                                              stamp);
+                if (!d.blockedPinned) {
+                    timing.l1dHit = d.l1Hit;
+                    timing.needsLineCopy = d.needsLineCopy;
+                    break;
+                }
+                at = resolver_(at);
+                commit = std::max(commit, at);
+                lastCommit_ = std::max(lastCommit_, commit);
+                nextCommitSlot_ = std::max(nextCommitSlot_,
+                                           commit + slotTicks());
+            }
+        }
+
+        if (r.wroteInt)
+            regX_[r.rd] = complete;
+        if (r.wroteFp)
+            regF_[r.rd] = complete;
+        const auto push = [](std::vector<Tick> &ring, std::size_t &head,
+                             Tick t) {
+            ring[head] = t;
+            if (++head == ring.size())
+                head = 0;
+        };
+        push(rob_, robHead_, commit);
+        push(iq_, iqHead_, complete);
+        if (r.isLoad)
+            push(lq_, lqHead_, commit);
+        if (r.isStore)
+            push(sq_, sqHead_, commit);
+        timing.commitAt = commit;
+        return timing;
+    }
+
+  private:
+    Tick cycles(unsigned n) const { return clock_.cyclesToTicks(n); }
+    Tick slotTicks() const { return clock_.period() / params_.width; }
+
+    Tick
+    useFu(std::vector<Tick> &group, Tick ready, unsigned latency,
+          bool pipelined)
+    {
+        auto slot = std::min_element(group.begin(), group.end());
+        Tick start = std::max(ready, *slot);
+        Tick complete = start + cycles(latency);
+        *slot = pipelined ? start + cycles(1) : complete;
+        return complete;
+    }
+
+    cpu::MainCoreParams params_;
+    ClockDomain &clock_;
+    mem::CacheHierarchy &hier_;
+    TournamentPredictor predictor_;
+    Resolver resolver_;
+    Tick fetchReadyAt_ = 0, nextFetchSlot_ = 0, nextCommitSlot_ = 0;
+    Tick lastCommit_ = 0;
+    std::vector<Tick> regX_, regF_, rob_, iq_, lq_, sq_;
+    std::vector<Tick> intAlu_, fpAlu_, multDiv_;
+    std::size_t robHead_ = 0, iqHead_ = 0, lqHead_ = 0, sqHead_ = 0;
+};
+
+/**
+ * cpu::MainCore's inline kernel against ReferenceCore: 30k random
+ * records of every InstClass with int, FP, x0 and unused sources,
+ * loads and pinned stores into an L1D small enough to fill sets with
+ * pins, branches and calls/returns.  The clock is retuned every ~100
+ * records and by the pinned-stall resolver (as closing a segment
+ * retunes it through the DVFS step), and the pipeline is reset now
+ * and then.  CommitTiming and now() must agree after every record.
+ */
+TEST(MainCore, KernelMatchesReferenceModel)
+{
+    mem::HierarchyParams hp;
+    hp.l1d = mem::CacheParams{"l1d", 512, 2, 64, 2, 2, true};
+    const double freqs[] = {3.2e9, 2.3e9, 1.6e9, 2.9e9, 3.0e9};
+    ClockDomain kernel_clock(3.2e9), ref_clock(3.2e9);
+    mem::CacheHierarchy kernel_hier(hp, kernel_clock);
+    mem::CacheHierarchy ref_hier(hp, ref_clock);
+    std::uint64_t seg = 1;
+    unsigned kernel_stalls = 0, ref_stalls = 0;
+    // Free every pin, retune the clock, and let the access retry
+    // 40 ticks on: the same steps on either side.
+    const auto resolver = [&seg, &freqs](ClockDomain &clock,
+                                         mem::CacheHierarchy &hier,
+                                         unsigned &stalls) {
+        return [&seg, &freqs, &clock, &hier, &stalls](Tick now) {
+            clock.setFrequency(freqs[stalls++ % 5]);
+            hier.segmentVerified(seg);
+            return now + 40;
+        };
+    };
+    cpu::MainCore kernel(cpu::MainCoreParams{}, kernel_clock, kernel_hier);
+    kernel.setPinnedStallResolver(
+        resolver(kernel_clock, kernel_hier, kernel_stalls));
+    ReferenceCore ref(cpu::MainCoreParams{}, ref_clock, ref_hier,
+                      resolver(ref_clock, ref_hier, ref_stalls));
+
+    Instruction add, bne, call, ret, jump;
+    add.op = Opcode::ADD;
+    bne.op = Opcode::BNE;
+    call.op = Opcode::JAL;
+    call.rd = 1;
+    ret.op = Opcode::JALR;
+    jump.op = Opcode::JAL;
+    Rng rng(31);
+    const auto source = [&rng]() -> std::uint8_t {
+        switch (rng.nextBounded(4)) {
+          case 0: return srcNone;
+          case 1: return 0;  // x0
+          case 2: return std::uint8_t(rng.nextBounded(numIntRegs));
+          default:
+            return std::uint8_t(srcFpBit | rng.nextBounded(numFpRegs));
+        }
+    };
+    const auto classes = unsigned(InstClass::NumClasses);
+    unsigned mispredicts = 0, copies = 0;
+
+    for (int i = 0; i < 30000; ++i) {
+        SCOPED_TRACE(i);
+        if (rng.nextBounded(100) == 0) {
+            const double f = freqs[rng.nextBounded(5)];
+            kernel_clock.setFrequency(f);
+            ref_clock.setFrequency(f);
+        }
+        if (rng.nextBounded(20) == 0)
+            ++seg;
+        if (rng.nextBounded(2000) == 0) {
+            const Tick at = ref.now() + 7;
+            kernel.resetPipeline(at);
+            ref.resetPipeline(at);
+        }
+        CommitRecord r;
+        r.valid = true;
+        r.cls = InstClass(rng.nextBounded(classes));
+        r.pc = 0x1000 + instBytes * rng.nextBounded(256);
+        r.nextPc = r.pc + instBytes;
+        r.srcA = source();
+        r.srcB = source();
+        r.srcC = source();
+        r.rd = std::uint8_t(rng.nextBounded(32));
+        r.inst = &add;
+        switch (r.cls) {
+          case InstClass::Load:
+          case InstClass::Store:
+            (r.cls == InstClass::Load ? r.isLoad : r.isStore) = true;
+            r.memAddr = 0x40 * rng.nextBounded(48) + 8 * rng.nextBounded(8);
+            r.memSize = 8;
+            break;
+          case InstClass::Branch:
+            r.inst = &bne;
+            r.isBranch = true;
+            r.taken = rng.chance(0.6);
+            if (r.taken)
+                r.nextPc = 0x1000 + instBytes * rng.nextBounded(8);
+            break;
+          case InstClass::Jump: {
+            const Instruction *jumps[] = {&call, &ret, &jump};
+            r.inst = jumps[rng.nextBounded(3)];
+            r.isJump = true;
+            r.taken = true;
+            r.nextPc = 0x1000 + instBytes * rng.nextBounded(16);
+            break;
+          }
+          default:
+            break;
+        }
+        r.op = r.inst->op;
+        if (!r.isStore && !r.isBranch) {
+            const bool fp = r.cls == InstClass::FpAlu ||
+                            r.cls == InstClass::FpMult ||
+                            r.cls == InstClass::FpDiv;
+            (fp ? r.wroteFp : r.wroteInt) = true;
+        }
+        const std::uint64_t pin = rng.nextBounded(4) ? seg : mem::noPin;
+        const cpu::CommitTiming k = kernel.advance(r, pin, seg);
+        const cpu::CommitTiming e = ref.advance(r, pin, seg);
+        ASSERT_EQ(k.commitAt, e.commitAt);
+        ASSERT_EQ(k.l1dHit, e.l1dHit);
+        ASSERT_EQ(k.mispredicted, e.mispredicted);
+        ASSERT_EQ(k.needsLineCopy, e.needsLineCopy);
+        ASSERT_EQ(kernel.now(), ref.now());
+        mispredicts += k.mispredicted;
+        copies += k.needsLineCopy;
+    }
+    EXPECT_EQ(kernel_stalls, ref_stalls);
+    EXPECT_GT(kernel_stalls, 50u);  // the resolver retuned mid-record
+    EXPECT_GT(mispredicts, 1000u);
+    EXPECT_GT(copies, 500u);
 }
 
 } // namespace

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <sstream>
+#include <string>
+
 #include "core/scheduler.hh"
 #include "core/system.hh"
 #include "isa/builder.hh"
@@ -469,6 +473,44 @@ TEST(Escalation, SustainedRollbacksEscalateToPanicResets)
     EXPECT_FALSE(r.halted);
     EXPECT_GT(r.panicResets, 0u);
     EXPECT_GT(r.watchdogTrips, 0u);
+}
+
+TEST(Escalation, WatchdogTripsAtTheSameCommitWithAndWithoutBatching)
+{
+    // The progress watchdog can come due inside a superblock batch;
+    // commit() must then end the batch at the record where the batch
+    // of one (the reference engine) trips it.  The livelock above,
+    // with a watchdog short enough to come due between checkpoints,
+    // on both engines: every result field and stat must match, but for
+    // main.sb_*, which count how the host batched commits.
+    static const std::regex batching(",\"main\\.sb_[a-z_]+\":[^,}]*");
+    auto w = workloads::build("bitcount", 1);
+    core::RunResult results[2];
+    std::string stats[2];
+    const isa::EngineKind engines[2] = {isa::EngineKind::Decoded,
+                                        isa::EngineKind::Reference};
+    for (int k = 0; k < 2; ++k) {
+        core::SystemConfig config =
+            core::SystemConfig::forMode(core::Mode::ParaDox);
+        config.engine = engines[k];
+        config.escalation.panicRollbackThreshold = 4;
+        config.escalation.progressWatchdogUs = 0.5;
+        core::System system(config, w.program);
+        system.setFaultPlan(faults::uniformPlan(
+            0.5, 21, faults::Persistence::Permanent, 0));
+        core::RunLimits limits;
+        limits.maxExecuted = 1'000'000;
+        results[k] = system.run(limits);
+        std::ostringstream os;
+        system.registry().dumpJson(os);
+        stats[k] = std::regex_replace(os.str(), batching, "");
+    }
+    EXPECT_GT(results[0].watchdogTrips, 10u);
+    EXPECT_EQ(results[0].watchdogTrips, results[1].watchdogTrips);
+    EXPECT_EQ(results[0].panicResets, results[1].panicResets);
+    EXPECT_EQ(results[0].executed, results[1].executed);
+    EXPECT_EQ(results[0].time, results[1].time);
+    EXPECT_EQ(stats[0], stats[1]);
 }
 
 TEST(Escalation, PanicResetSnapsVoltageToSafe)

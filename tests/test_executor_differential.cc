@@ -271,6 +271,94 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+/** One FSQRT/FDIV/FCVT operand case and the result PDX64 defines. */
+struct FpEdgeCase
+{
+    Opcode op;
+    std::uint64_t a;       //!< rs1 bits (an integer for FCVT_D_L)
+    std::uint64_t b;       //!< rs2 bits (FDIV only)
+    bool nanResult;        //!< any NaN (host payload), else exact
+    std::uint64_t result;  //!< rd bits (an integer for FCVT_L_D)
+};
+
+/**
+ * The ops besides FMIN/FMAX that reach libm or the FPU, at the operands
+ * where a build could fork: FSQRT of -1, -0, NaN and +inf; FDIV of
+ * +-0/+-0, 1/+-0 and inf/inf; FCVT_L_D of NaN, +-inf, +-2^63, -0.5
+ * and 2^63-1024 (the largest double below 2^63); FCVT_D_L of
+ * INT64_MIN.  Each runs once on each engine: rd and the whole
+ * architectural state, fflags included, must agree bit for bit, and rd
+ * must match the table.  Arithmetic NaN payloads are the host's, so
+ * only NaN-ness is tabled for them.  test_executor_differential_O0
+ * runs the same table with the ISA library built at -O0.
+ */
+TEST(FpEdgeDifferential, SqrtDivConvertSpecialOperands)
+{
+    const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double two63 = 9223372036854775808.0;
+    const auto imax = std::uint64_t(std::numeric_limits<std::int64_t>::max());
+    const auto imin = std::uint64_t(std::numeric_limits<std::int64_t>::min());
+    const FpEdgeCase cases[] = {
+        {Opcode::FSQRT, bits(-1.0), 0, true, 0},
+        {Opcode::FSQRT, bits(-0.0), 0, false, bits(-0.0)},
+        {Opcode::FSQRT, bits(nan), 0, true, 0},
+        {Opcode::FSQRT, bits(inf), 0, false, bits(inf)},
+        {Opcode::FDIV, bits(0.0), bits(0.0), true, 0},
+        {Opcode::FDIV, bits(0.0), bits(-0.0), true, 0},
+        {Opcode::FDIV, bits(-0.0), bits(0.0), true, 0},
+        {Opcode::FDIV, bits(-0.0), bits(-0.0), true, 0},
+        {Opcode::FDIV, bits(1.0), bits(0.0), false, bits(inf)},
+        {Opcode::FDIV, bits(1.0), bits(-0.0), false, bits(-inf)},
+        {Opcode::FDIV, bits(inf), bits(inf), true, 0},
+        {Opcode::FCVT_L_D, bits(nan), 0, false, 0},
+        {Opcode::FCVT_L_D, bits(inf), 0, false, imax},
+        {Opcode::FCVT_L_D, bits(-inf), 0, false, imin},
+        {Opcode::FCVT_L_D, bits(two63), 0, false, imax},
+        {Opcode::FCVT_L_D, bits(-two63), 0, false, imin},
+        {Opcode::FCVT_L_D, bits(-0.5), 0, false, 0},
+        {Opcode::FCVT_L_D, bits(two63 - 1024.0), 0, false,
+         std::uint64_t(9223372036854774784ULL)},
+        {Opcode::FCVT_D_L, imin, 0, false, bits(-two63)},
+    };
+    for (const FpEdgeCase &c : cases) {
+        const bool int_src = c.op == Opcode::FCVT_D_L;
+        const bool int_dst = c.op == Opcode::FCVT_L_D;
+        Instruction inst;
+        inst.op = c.op;
+        inst.rd = 3;
+        inst.rs1 = 1;
+        inst.rs2 = 2;
+        Program prog("diff",
+                     {inst, Instruction{Opcode::HALT, 0, 0, 0, 0}}, {});
+        ArchState states[2];
+        const EngineKind kinds[2] = {EngineKind::Reference,
+                                     EngineKind::Decoded};
+        for (int k = 0; k < 2; ++k) {
+            auto engine = makeEngine(kinds[k], prog);
+            if (int_src)
+                states[k].writeX(1, c.a);
+            else
+                states[k].writeFBits(1, c.a);
+            states[k].writeFBits(2, c.b);
+            mem::SimpleMemory memory;
+            EXPECT_TRUE(engine->step(states[k], memory).valid);
+        }
+        const std::uint64_t rd = int_dst ? states[0].readX(3)
+                                         : states[0].readFBits(3);
+        SCOPED_TRACE(testing::Message()
+                     << mnemonic(c.op) << " a=" << std::hex << c.a
+                     << " b=" << c.b << " rd=" << rd);
+        EXPECT_TRUE(states[0] == states[1]) << "engines disagree";
+        EXPECT_EQ(states[0].fflags(), states[1].fflags());
+        if (c.nanResult)
+            EXPECT_TRUE(std::isnan(std::bit_cast<double>(rd)));
+        else
+            EXPECT_EQ(rd, c.result);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Engine lockstep: the decoded threaded-dispatch engine against the
 // reference engine, asserting identical per-instruction commit

@@ -810,4 +810,103 @@ TEST(TlbFastPath, MatchesScanOnlyReferenceOverMultiPageStream)
     EXPECT_GT(misses, 1000u);
 }
 
+/**
+ * Twin hierarchies fed one random load/store stream, one through
+ * dataAccess() (whose same-line hits take Cache::tryReadHit and
+ * Cache::tryWriteHit inline) and one through dataAccessSlow() only,
+ * stay indistinguishable: every DataAccessResult field, the L1D and
+ * L2 counters, the pinned lines and the resident lines, after every
+ * step.  The stream has rising checkpoint stamps, pinned writes into
+ * an L1D small enough to fill whole sets with pins, verify and
+ * rollback unpins, L1D prefetch fills (which can evict the line the
+ * inline path would hit) and instruction fetches sharing the L2.
+ */
+TEST(CacheHierarchy, InlineHitPathsMatchSlowPath)
+{
+    HierarchyParams p;
+    p.l1d = CacheParams{"l1d", 1024, 2, 64, 2, 2, true};
+    p.l2 = CacheParams{"l2", 8 * 1024, 4, 64, 12, 4, false};
+    ClockDomain clock(3.2e9);
+    CacheHierarchy fast(p, clock);
+    CacheHierarchy slow(p, clock);
+    Rng rng(23);
+    // 64 lines over the L1D's 8 two-way sets.
+    std::vector<Addr> lines;
+    for (Addr a = 0; a < 0x1000; a += 0x40)
+        lines.push_back(a);
+    Addr addr = 0;
+    Tick now = 100;
+    std::uint64_t seg = 1;
+    Addr last_line = ~Addr(0);  // line the previous access resolved
+    unsigned same_reads = 0, same_writes = 0, same_copies = 0;
+    unsigned blocked = 0;
+
+    for (int i = 0; i < 40000; ++i) {
+        now += 1 + rng.nextBounded(4);
+        // Mostly the same line again (stack traffic), else anywhere.
+        if (rng.nextBounded(3) == 0)
+            addr = lines[rng.nextBounded(lines.size())];
+        const Addr a = addr + 8 * rng.nextBounded(8);
+        const Addr pc = 0x8000 + 4 * rng.nextBounded(16);
+        const unsigned op = unsigned(rng.nextBounded(100));
+        SCOPED_TRACE(i);
+        if (op < 84) {
+            const bool write = op >= 45;
+            const std::uint64_t pin =
+                write && rng.nextBounded(4) != 0 ? seg : noPin;
+            const DataAccessResult f =
+                fast.dataAccess(a, pc, write, now, pin, seg);
+            const DataAccessResult s =
+                slow.dataAccessSlow(a, pc, write, now, pin, seg);
+            ASSERT_EQ(f.completeAt, s.completeAt);
+            ASSERT_EQ(f.blockedPinned, s.blockedPinned);
+            ASSERT_EQ(f.l1Hit, s.l1Hit);
+            ASSERT_EQ(f.l2Hit, s.l2Hit);
+            ASSERT_EQ(f.needsLineCopy, s.needsLineCopy);
+            const Addr line = a & ~Addr(63);
+            if (line == last_line && !f.blockedPinned) {
+                ++(write ? same_writes : same_reads);
+                same_copies += f.needsLineCopy;
+            }
+            if (f.blockedPinned)
+                ++blocked;
+            else
+                last_line = line;
+        } else if (op < 92) {
+            ++seg;  // the next checkpoint: new stamp and pin id
+        } else if (op < 96) {
+            const std::uint64_t upto = seg - rng.nextBounded(3);
+            fast.segmentVerified(upto);
+            slow.segmentVerified(upto);
+        } else if (op < 97) {
+            fast.rollbackFrom(seg);
+            slow.rollbackFrom(seg);
+            ++seg;  // ids keep rising after a rollback
+        } else if (op < 99) {
+            fast.l1d().fill(a ^ 0x200, now);
+            slow.l1d().fill(a ^ 0x200, now);
+        } else {
+            ASSERT_EQ(fast.instFetch(pc, now), slow.instFetch(pc, now));
+        }
+        ASSERT_EQ(fast.l1d().hits(), slow.l1d().hits());
+        ASSERT_EQ(fast.l1d().misses(), slow.l1d().misses());
+        ASSERT_EQ(fast.l1d().evictions(), slow.l1d().evictions());
+        ASSERT_EQ(fast.l1d().pinnedBlocks(), slow.l1d().pinnedBlocks());
+        ASSERT_EQ(fast.l1d().pinnedLineCount(),
+                  slow.l1d().pinnedLineCount());
+        ASSERT_EQ(fast.l2().hits(), slow.l2().hits());
+        ASSERT_EQ(fast.l2().misses(), slow.l2().misses());
+        for (Addr l : lines) {
+            ASSERT_EQ(fast.l1d().contains(l), slow.l1d().contains(l)) << l;
+            ASSERT_EQ(fast.l2().contains(l), slow.l2().contains(l)) << l;
+        }
+    }
+    // The inline paths ran: same-line reads, writes (some the first
+    // of their checkpoint) and misses into fully pinned sets.
+    EXPECT_GT(same_reads, 5000u);
+    EXPECT_GT(same_writes, 5000u);
+    EXPECT_GT(same_copies, 500u);
+    EXPECT_GT(blocked, 100u);
+}
+
 } // namespace

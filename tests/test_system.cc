@@ -284,4 +284,33 @@ TEST(SystemStats, RecoveryCostsAreRecorded)
     EXPECT_GT(system.wastedExecNs().mean(), 0.0);
 }
 
+TEST(SystemLimits, TickLimitStopsAtTheSameCommitWithAndWithoutBatching)
+{
+    // A superblock batch must end at the record that reaches the tick
+    // limit, where the batch of one (the reference engine) stops.  A
+    // faulty ParaDox run, cut halfway through its fault-free-length
+    // time, on both engines.
+    auto w = smallWorkload("stream");
+    const Tick full = runMode(Mode::ParaDox, w).time;
+    RunResult results[2];
+    const isa::EngineKind engines[2] = {isa::EngineKind::Decoded,
+                                        isa::EngineKind::Reference};
+    for (int k = 0; k < 2; ++k) {
+        SystemConfig config = SystemConfig::forMode(Mode::ParaDox);
+        config.engine = engines[k];
+        System system(config, w.program);
+        system.setFaultPlan(faults::uniformPlan(1e-3, 7));
+        core::RunLimits limits;
+        limits.maxTicks = full / 2 + 7;
+        results[k] = system.run(limits);
+    }
+    EXPECT_FALSE(results[0].halted);
+    EXPECT_GT(results[0].rollbacks, 0u);
+    EXPECT_EQ(results[0].instructions, results[1].instructions);
+    EXPECT_EQ(results[0].executed, results[1].executed);
+    EXPECT_EQ(results[0].time, results[1].time);
+    EXPECT_EQ(results[0].checkpoints, results[1].checkpoints);
+    EXPECT_EQ(results[0].rollbacks, results[1].rollbacks);
+}
+
 } // namespace
