@@ -12,9 +12,11 @@
  *    independent of the job count.
  *
  *  - runIsolated() (forked children): for campaigns that must
- *    contain a crashing simulator.  The parent stays single-threaded
- *    and multiplexes child pipes with poll(), so there is never a
- *    fork from a multithreaded process.
+ *    contain a crashing simulator.  The parent starts no thread of
+ *    its own and multiplexes child pipes with poll().  If the calling
+ *    thread ran a System before, its replay helper thread
+ *    (core::ReplayHelper) exists; it holds no lock between jobs, and
+ *    each child starts its own.
  *
  * Both report progress and an ETA to stderr when asked.
  */

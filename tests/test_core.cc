@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "core/aimd.hh"
@@ -115,6 +116,46 @@ TEST(LogSegment, ReopenClearsState)
     EXPECT_EQ(seg.closeTick(), fresh.closeTick());
     EXPECT_EQ(seg.wouldOverflow(64, 64), fresh.wouldOverflow(64, 64));
     EXPECT_FALSE(seg.wouldOverflow(64, 64));
+}
+
+/** A reopened segment reuses its line-copy buffers, not their bytes. */
+TEST(LogSegment, RecycledLineCopiesHoldTheNewBytes)
+{
+    LogSegment seg;
+    isa::ArchState start;
+    seg.open(1, start, 0, 0);
+    seg.appendLineCopy(0x1000, std::vector<std::uint8_t>(64, 0x11), 80);
+    seg.appendLineCopy(0x1040, std::vector<std::uint8_t>(64, 0x22), 80);
+    seg.open(2, start, 0, 0);
+    seg.appendLineCopy(0x2000, std::vector<std::uint8_t>(64, 0x33), 80);
+    ASSERT_EQ(seg.lineCopies().size(), 1u);
+    EXPECT_EQ(seg.lineCopies()[0].lineAddr, 0x2000u);
+    EXPECT_EQ(seg.lineCopies()[0].bytes,
+              std::vector<std::uint8_t>(64, 0x33));
+    EXPECT_FALSE(seg.hasLineCopy(0x1040));
+    EXPECT_EQ(seg.bytesUsed(), 80u);
+}
+
+/** LineAddrSet against std::set over growth and many clears. */
+TEST(LineAddrSet, MatchesReferenceSet)
+{
+    LineAddrSet set;
+    std::set<Addr> ref;
+    std::uint64_t x = 12345;
+    for (int step = 0; step < 50'000; ++step) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        // Clustered line addresses, with an occasional checkpoint.
+        const Addr line = ((x >> 33) % 300) * 64 + 0x10000;
+        if ((x >> 20) % 97 == 0) {
+            set.clear();
+            ref.clear();
+        } else if ((x >> 13) & 1) {
+            set.insert(line);
+            ref.insert(line);
+        }
+        ASSERT_EQ(set.contains(line), ref.count(line) != 0) << step;
+        ASSERT_EQ(set.size(), ref.size()) << step;
+    }
 }
 
 TEST(CheckpointAimd, AdditiveIncreaseCapsAtMax)

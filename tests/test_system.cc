@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <sstream>
+
+#include "core/result_json.hh"
 #include "core/system.hh"
+#include "obs/trace.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -311,6 +316,122 @@ TEST(SystemLimits, TickLimitStopsAtTheSameCommitWithAndWithoutBatching)
     EXPECT_EQ(results[0].time, results[1].time);
     EXPECT_EQ(results[0].checkpoints, results[1].checkpoints);
     EXPECT_EQ(results[0].rollbacks, results[1].rollbacks);
+}
+
+/**
+ * A run's result JSON and stats registry.  The registry leaves out
+ * main.sb_*: settling a deferred replay can end a superblock batch
+ * early, so those count how the host batched commits, not anything
+ * simulated.
+ */
+struct RunSnapshot
+{
+    std::string result;
+    std::string stats;
+
+    bool
+    operator==(const RunSnapshot &o) const
+    {
+        return result == o.result && stats == o.stats;
+    }
+};
+
+std::string
+registryWithoutBatching(const System &system)
+{
+    static const std::regex batching(",\"main\\.sb_[a-z_]+\":[^,}]*");
+    std::ostringstream os;
+    system.registry().dumpJson(os);
+    return std::regex_replace(os.str(), batching, "");
+}
+
+/**
+ * Run @p w in @p mode, fault-free.  A tracer forces every checker
+ * replay inline; untraced, the replays run on the helper thread.
+ */
+RunSnapshot
+snapshotRun(const workloads::Workload &w, Mode mode, bool traced,
+            const core::RunLimits &limits = core::RunLimits{})
+{
+    System system(SystemConfig::forMode(mode), w.program);
+    obs::TraceSink sink(16);
+    if (traced)
+        system.setTracer(&sink);
+    const RunResult r = system.run(limits);
+    return {core::toJson(r), registryWithoutBatching(system)};
+}
+
+TEST(SystemDeferredReplay, HelperThreadAndInlineReplaysAgree)
+{
+    for (const char *name : {"bitcount", "stream", "mcf", "gobmk"}) {
+        const auto w = smallWorkload(name);
+        for (Mode mode :
+             {Mode::ParaDox, Mode::ParaMedic, Mode::DetectionOnly}) {
+            const RunSnapshot deferred = snapshotRun(w, mode, false);
+            const RunSnapshot inline_ = snapshotRun(w, mode, true);
+            EXPECT_EQ(deferred.result, inline_.result)
+                << name << " " << core::modeName(mode);
+            EXPECT_EQ(deferred.stats, inline_.stats)
+                << name << " " << core::modeName(mode);
+        }
+    }
+}
+
+TEST(SystemDeferredReplay, InstructionLimitWithReplayInFlightIsClean)
+{
+    // mcf's fault-free segments run about 1,500 instructions, and a
+    // checker needs at least a cycle for each, so the stop lands with
+    // the youngest replay still deferred: collectResult() settles it,
+    // and so does the destructor when no result is collected.
+    const auto w = smallWorkload("mcf");
+    core::RunLimits limits;
+    limits.maxInstructions = 30'011;
+    const RunSnapshot deferred = snapshotRun(w, Mode::ParaDox, false,
+                                             limits);
+    EXPECT_EQ(deferred, snapshotRun(w, Mode::ParaDox, true, limits));
+    EXPECT_NE(deferred.result.find("\"instructions\":30011"),
+              std::string::npos)
+        << deferred.result;
+
+    System system(SystemConfig::forMode(Mode::ParaDox), w.program);
+    system.beginRun(limits);
+    while (system.stepOnce()) {
+    }
+    EXPECT_EQ(system.phase(), System::Phase::Done);
+}
+
+TEST(SystemDeferredReplay, TwoSystemsSteppedOnOneThreadMatchSoloRuns)
+{
+    // Both post to this thread's one helper: each post finishes the
+    // other System's replay first.
+    const auto wa = smallWorkload("bitcount");
+    const auto wb = smallWorkload("stream");
+    const SystemConfig config = SystemConfig::forMode(Mode::ParaDox);
+    const auto solo = [&config](const workloads::Workload &w) {
+        System system(config, w.program);
+        const RunResult r = system.run();
+        return RunSnapshot{core::toJson(r),
+                           registryWithoutBatching(system)};
+    };
+    const RunSnapshot soloA = solo(wa);
+    const RunSnapshot soloB = solo(wb);
+
+    System a(config, wa.program);
+    System b(config, wb.program);
+    a.beginRun();
+    b.beginRun();
+    for (bool runA = true, runB = true; runA || runB;) {
+        if (runA)
+            runA = a.stepOnce();
+        if (runB)
+            runB = b.stepOnce();
+    }
+    const RunResult ra = a.collectResult();
+    const RunResult rb = b.collectResult();
+    EXPECT_EQ(RunSnapshot({core::toJson(ra), registryWithoutBatching(a)}),
+              soloA);
+    EXPECT_EQ(RunSnapshot({core::toJson(rb), registryWithoutBatching(b)}),
+              soloB);
 }
 
 } // namespace
