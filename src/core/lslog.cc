@@ -19,7 +19,7 @@ LogSegment::open(std::uint64_t id, const isa::ArchState &start,
     closeTick_ = start_tick;
     instCount_ = 0;
     entries_.clear();
-    lineCount_ = 0;
+    lines_.clear();
     bytesUsed_ = 0;
     nextCheckerId_ = -1;
 }
@@ -65,72 +65,17 @@ LogSegment::appendLineCopy(Addr line_addr,
                            const std::vector<std::uint8_t> &bytes,
                            unsigned copy_bytes)
 {
-    if (lineCount_ == lines_.size())
-        lines_.emplace_back();
-    LineCopy &copy = lines_[lineCount_++];
-    copy.lineAddr = line_addr;
-    copy.bytes.assign(bytes.begin(), bytes.end());
+    lines_.push_back(LineCopy{line_addr, bytes});
     bytesUsed_ += copy_bytes;
 }
 
 bool
 LogSegment::hasLineCopy(Addr line_addr) const
 {
-    const std::span<const LineCopy> lines = lineCopies();
-    return std::any_of(lines.begin(), lines.end(),
+    return std::any_of(lines_.begin(), lines_.end(),
                        [line_addr](const LineCopy &copy) {
                            return copy.lineAddr == line_addr;
                        });
-}
-
-bool
-LineAddrSet::contains(Addr line) const
-{
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home(line); slots_[i].gen == gen_;
-         i = (i + 1) & mask)
-        if (slots_[i].line == line)
-            return true;
-    return false;
-}
-
-void
-LineAddrSet::insert(Addr line)
-{
-    if (2 * (count_ + 1) > slots_.size())
-        grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = home(line);
-    for (; slots_[i].gen == gen_; i = (i + 1) & mask)
-        if (slots_[i].line == line)
-            return;
-    slots_[i] = Slot{line, gen_};
-    ++count_;
-}
-
-void
-LineAddrSet::clear()
-{
-    count_ = 0;
-    if (++gen_ == 0) {
-        // The generation wrapped: no stale slot may alias it.
-        for (Slot &slot : slots_)
-            slot.gen = 0;
-        gen_ = 1;
-    }
-}
-
-void
-LineAddrSet::grow()
-{
-    std::vector<Slot> old(2 * slots_.size());
-    old.swap(slots_);
-    --shift_;
-    const std::uint32_t live = gen_;
-    count_ = 0;
-    for (const Slot &slot : old)
-        if (slot.gen == live)
-            insert(slot.line);
 }
 
 } // namespace core

@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/config.hh"
@@ -99,16 +98,10 @@ class LogSegment
     /** @} */
 
     /** @{ Rollback-side line copies (ParaDox). */
-    /** Reuses the byte buffer of a copy an earlier use of this
-     *  segment made, so a recycled segment does not allocate. */
     void appendLineCopy(Addr line_addr,
                         const std::vector<std::uint8_t> &bytes,
                         unsigned copy_bytes);
-    std::span<const LineCopy>
-    lineCopies() const
-    {
-        return {lines_.data(), lineCount_};
-    }
+    const std::vector<LineCopy> &lineCopies() const { return lines_; }
     /** True if this checkpoint already copied @p line_addr. */
     bool hasLineCopy(Addr line_addr) const;
     /** @} */
@@ -139,48 +132,9 @@ class LogSegment
     Tick closeTick_ = 0;
     unsigned instCount_ = 0;
     std::vector<LogEntry> entries_;
-    /** Copies [0, lineCount_) are live; the rest keep their buffers
-     *  for reuse. */
     std::vector<LineCopy> lines_;
-    std::size_t lineCount_ = 0;
     std::size_t bytesUsed_ = 0;
     int nextCheckerId_ = -1;
-};
-
-/**
- * The line addresses one checkpoint has copied: open addressing over
- * a power-of-two table whose slots carry the generation that filled
- * them, so clear() is one increment and insert() allocates only when
- * the table grows past half full -- never per line.
- */
-class LineAddrSet
-{
-  public:
-    bool contains(Addr line) const;
-    void insert(Addr line);
-    void clear();
-    std::size_t size() const { return count_; }
-
-  private:
-    struct Slot
-    {
-        Addr line = 0;
-        std::uint32_t gen = 0;  //!< live iff == gen_
-    };
-
-    /** First probe slot of @p line. */
-    std::size_t
-    home(Addr line) const
-    {
-        return std::size_t((line * 0x9e3779b97f4a7c15ULL) >> shift_);
-    }
-
-    void grow();
-
-    std::vector<Slot> slots_ = std::vector<Slot>(64);
-    unsigned shift_ = 64 - 6;  //!< 64 - log2(slots_.size())
-    std::uint32_t gen_ = 1;
-    std::size_t count_ = 0;
 };
 
 } // namespace core

@@ -52,6 +52,9 @@ System::System(const SystemConfig &config, const isa::Program &program,
       energy_(powerModel_)
 {
     config_.validate();
+    // A segment's bytes hold at most this many line copies.
+    linesCopiedThisCkpt_.reserve(config_.log.segmentBytes /
+                                 config_.log.lineCopyBytes + 1);
     engine_ = isa::makeEngine(config_.engine, program_);
     decodedProg_ =
         engine_->kind() == isa::EngineKind::Decoded
@@ -560,11 +563,11 @@ System::closeSegmentAndDispatch()
     pc.checkerId = unsigned(fillingChecker_);
     pc.startTick = dispatch;
     if (replayDeferrable()) {
-        // The replay can only come back clean, so it runs on the
-        // helper thread and settleReplay() applies the outcome where
-        // it is first needed.  Until then the finish tick is a lower
-        // bound: a clean replay retires all instCount instructions,
-        // each in at least one checker cycle.
+        // No fault can reach the replay, so it can only come back
+        // clean: it runs on the helper thread and settleReplay()
+        // applies the outcome where it is first needed.  Until then
+        // the finish tick is a lower bound: a clean replay retires all
+        // instCount instructions, each in at least one checker cycle.
         pc.deferred = true;
         pc.finishTick = pc.detectTick =
             dispatch + checkerTiming()->cyclesToTicks(
@@ -610,15 +613,32 @@ System::replayOn(const LogSegment &seg, unsigned checker_id)
 }
 
 bool
-System::replayDeferrable() const
+System::replayDeferrable()
 {
     constexpr std::uint64_t disarmed =
         std::numeric_limits<std::uint64_t>::max();
     // An empty main-core plan also means the segment saw no main-core
     // fire.
-    return faultPlan_.empty() && mainCoreFaultPlan_.empty() &&
-           (eccGap_ & dueGap_) == disarmed && !config_.dvfsEnabled &&
-           !tracing() && !vuln_ && sched_ != nullptr;
+    if (!mainCoreFaultPlan_.empty() || (eccGap_ & dueGap_) != disarmed ||
+        config_.dvfsEnabled || tracing() || vuln_ || sched_ == nullptr)
+        return false;
+    // The previous replay has settled, so the plan is current.  The
+    // replay feeds each injector at most one event per instruction
+    // (register and functional-unit sources) or per log entry (log
+    // sources); if every injector stays quiet that long, none fires.
+    // A source that must see every event (chip mode, latched, in a
+    // burst) has no quiet events, so its checker replays inline.
+    faultPlan_.setActiveChecker(fillingChecker_);
+    const LogSegment &seg = *filling_;
+    for (const faults::FaultInjector &injector : faultPlan_.injectors()) {
+        const std::uint64_t events =
+            injector.kind() == faults::FaultKind::LogBitFlip
+                ? seg.entries().size()
+                : seg.instCount();
+        if (injector.quietEvents() < events)
+            return false;
+    }
+    return true;
 }
 
 void
@@ -642,10 +662,11 @@ System::settleReplay()
     const ReplayOutcome &out = deferred_.out;
     const Tick finish =
         pc.startTick + checkerTiming()->cyclesToTicks(out.totalCycles);
-    if (out.detected || finish < pc.finishTick)
-        panic("System: a deferred replay detected a divergence or "
-              "finished below its bound");
-    // No plan, so no fault fired and no fault counter moves.
+    if (out.detected || out.faultsInjected != 0 || finish < pc.finishTick)
+        panic("System: a deferred replay detected a divergence, "
+              "injected a fault or finished below its bound");
+    // No injector could fire in this segment, so no fault counter
+    // moves: the replay only advanced their gaps.
     pc.deferred = false;
     pc.finishTick = pc.detectTick = finish;
     sched()->recordOutcome(pc.checkerId, false);

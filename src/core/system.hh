@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/effects.hh"
@@ -384,10 +385,12 @@ class System
     void replayInline(PendingCheck &pc, Tick dispatch);
     /**
      * True if no fault can reach the filling segment's replay, so it
-     * may run on the helper thread: no fault plan, ECC disarmed, no
-     * DVFS, tracer or vuln model, and a private checker pool.
+     * may run on the helper thread: no checker injector can fire
+     * within the segment's events, no main-core plan, ECC disarmed, no
+     * DVFS, tracer or vuln model, and a private checker pool.  Points
+     * the checker plan at the filling checker, as the replay does.
      */
-    bool replayDeferrable() const;
+    bool replayDeferrable();
     /** ReplayHelper job: run deferred_'s replay. */
     static void runDeferredReplay(void *self);
     /**
@@ -627,7 +630,7 @@ class System
     std::unique_ptr<LogSegment> filling_;
     int fillingChecker_ = -1;
     unsigned instsInSegment_ = 0;
-    LineAddrSet linesCopiedThisCkpt_;
+    std::unordered_set<Addr> linesCopiedThisCkpt_;
     /** Pre-store line image buffer, reused by captureLineCopies(). */
     std::vector<std::uint8_t> lineImage_;
     /**

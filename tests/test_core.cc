@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <sstream>
 
 #include "core/aimd.hh"
@@ -118,7 +117,7 @@ TEST(LogSegment, ReopenClearsState)
     EXPECT_FALSE(seg.wouldOverflow(64, 64));
 }
 
-/** A reopened segment reuses its line-copy buffers, not their bytes. */
+/** A reopened segment holds only its new line copies. */
 TEST(LogSegment, RecycledLineCopiesHoldTheNewBytes)
 {
     LogSegment seg;
@@ -134,28 +133,6 @@ TEST(LogSegment, RecycledLineCopiesHoldTheNewBytes)
               std::vector<std::uint8_t>(64, 0x33));
     EXPECT_FALSE(seg.hasLineCopy(0x1040));
     EXPECT_EQ(seg.bytesUsed(), 80u);
-}
-
-/** LineAddrSet against std::set over growth and many clears. */
-TEST(LineAddrSet, MatchesReferenceSet)
-{
-    LineAddrSet set;
-    std::set<Addr> ref;
-    std::uint64_t x = 12345;
-    for (int step = 0; step < 50'000; ++step) {
-        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-        // Clustered line addresses, with an occasional checkpoint.
-        const Addr line = ((x >> 33) % 300) * 64 + 0x10000;
-        if ((x >> 20) % 97 == 0) {
-            set.clear();
-            ref.clear();
-        } else if ((x >> 13) & 1) {
-            set.insert(line);
-            ref.insert(line);
-        }
-        ASSERT_EQ(set.contains(line), ref.count(line) != 0) << step;
-        ASSERT_EQ(set.size(), ref.size()) << step;
-    }
 }
 
 TEST(CheckpointAimd, AdditiveIncreaseCapsAtMax)

@@ -160,9 +160,10 @@ TEST(ExpRunner, ChipSpecsDeterministicAcrossJobCounts)
         ASSERT_TRUE(serial[i].ok()) << serial[i].error;
         // Zero silent corruption: every chip run either finishes
         // with the golden checksum or halts detectably short.
-        if (serial[i].result.halted)
+        if (serial[i].result.halted) {
             EXPECT_TRUE(serial[i].correct)
                 << "silent corruption in chip spec " << i;
+        }
         EXPECT_EQ(exp::recordJson(specs[i], serial[i]),
                   exp::recordJson(specs[i], parallel[i]))
             << "chip spec " << i << " diverged across job counts";

@@ -189,8 +189,9 @@ TEST_P(FuzzedProgram, PermanentSingleCheckerFaultIsContained)
         EXPECT_EQ(r.healthyCheckers, config.checkers.count - 1)
             << "seed " << seed;
     }
-    if (r.errorsDetected >= 3)
+    if (r.errorsDetected >= 3) {
         EXPECT_GE(r.quarantines, 1u) << "seed " << seed;
+    }
 }
 
 TEST(RollbackEquivalence, WordAndLineGranularityAgree)

@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <regex>
 #include <sstream>
 
+#include "core/replay_helper.hh"
 #include "core/result_json.hh"
 #include "core/system.hh"
+#include "faults/chip_model.hh"
 #include "obs/trace.hh"
+#include "power/undervolt_data.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -346,19 +351,68 @@ registryWithoutBatching(const System &system)
 }
 
 /**
- * Run @p w in @p mode, fault-free.  A tracer forces every checker
- * replay inline; untraced, the replays run on the helper thread.
+ * Run @p w under @p config after @p prepare (fault plans, chip model)
+ * has set up the System.  A tracer forces every checker replay
+ * inline; untraced, the replays no fault can reach run on the helper
+ * thread.
  */
 RunSnapshot
-snapshotRun(const workloads::Workload &w, Mode mode, bool traced,
+snapshotRun(const workloads::Workload &w, const SystemConfig &config,
+            bool traced,
+            const std::function<void(System &)> &prepare = nullptr,
             const core::RunLimits &limits = core::RunLimits{})
 {
-    System system(SystemConfig::forMode(mode), w.program);
+    System system(config, w.program);
+    if (prepare)
+        prepare(system);
     obs::TraceSink sink(16);
     if (traced)
         system.setTracer(&sink);
     const RunResult r = system.run(limits);
     return {core::toJson(r), registryWithoutBatching(system)};
+}
+
+/**
+ * Expect the untraced and traced runs of @p w to agree, and return
+ * how many replays ran on a helper thread in the untraced one.
+ */
+std::uint64_t
+expectDeferredMatchesInline(const std::string &what,
+                            const workloads::Workload &w,
+                            const SystemConfig &config,
+                            const std::function<void(System &)> &prepare)
+{
+    const std::uint64_t before = core::ReplayHelper::jobsRunOnHelpers();
+    const RunSnapshot deferred = snapshotRun(w, config, false, prepare);
+    const std::uint64_t ran =
+        core::ReplayHelper::jobsRunOnHelpers() - before;
+    const RunSnapshot inline_ = snapshotRun(w, config, true, prepare);
+    EXPECT_EQ(inline_.result.find("\"faults_injected\":0,"),
+              std::string::npos)
+        << what << ": no fault fired";
+    EXPECT_EQ(deferred.result, inline_.result) << what;
+    EXPECT_EQ(deferred.stats, inline_.stats) << what;
+    return ran;
+}
+
+/**
+ * Expect @p ran replays on a helper thread to be some, where the host
+ * gives the helper a CPU of its own; otherwise every job runs on its
+ * owner.
+ */
+void
+expectSomeOnHelpers(std::uint64_t ran)
+{
+    if (core::ReplayHelper::usableCpus() >= 2) {
+        EXPECT_GT(ran, 0u) << "no replay ran on a helper thread";
+    }
+}
+
+/** Install @p plan as the checker fault plan. */
+std::function<void(System &)>
+withPlan(const faults::FaultPlan &plan)
+{
+    return [plan](System &system) { system.setFaultPlan(plan); };
 }
 
 TEST(SystemDeferredReplay, HelperThreadAndInlineReplaysAgree)
@@ -367,14 +421,84 @@ TEST(SystemDeferredReplay, HelperThreadAndInlineReplaysAgree)
         const auto w = smallWorkload(name);
         for (Mode mode :
              {Mode::ParaDox, Mode::ParaMedic, Mode::DetectionOnly}) {
-            const RunSnapshot deferred = snapshotRun(w, mode, false);
-            const RunSnapshot inline_ = snapshotRun(w, mode, true);
+            const SystemConfig config = SystemConfig::forMode(mode);
+            const RunSnapshot deferred = snapshotRun(w, config, false);
+            const RunSnapshot inline_ = snapshotRun(w, config, true);
             EXPECT_EQ(deferred.result, inline_.result)
                 << name << " " << core::modeName(mode);
             EXPECT_EQ(deferred.stats, inline_.stats)
                 << name << " " << core::modeName(mode);
         }
     }
+}
+
+TEST(SystemDeferredReplay, TransientCheckerFaultsAgree)
+{
+    // Most segments lie between two fires, so their replays run on
+    // the helper even though the plan is not empty; the segments that
+    // can fire replay inline.
+    std::uint64_t ran = 0;
+    for (const double rate : {1e-4, 1e-3}) {
+        for (const char *name : {"bitcount", "stream", "mcf"}) {
+            const std::string what =
+                std::string(name) + " rate " + std::to_string(rate);
+            ran += expectDeferredMatchesInline(
+                what, smallWorkload(name),
+                SystemConfig::forMode(Mode::ParaDox),
+                withPlan(faults::uniformPlan(rate, 7)));
+        }
+    }
+    expectSomeOnHelpers(ran);
+}
+
+TEST(SystemDeferredReplay, PinnedIntermittentAndPermanentPlansAgree)
+{
+    // Segments on other checkers never reach a pinned source; a
+    // latched permanent or an open burst forces every replay on its
+    // checker inline.  The ladder quarantines the defective checker.
+    SystemConfig config = SystemConfig::forMode(Mode::ParaDox);
+    config.enableEscalation();
+    for (const faults::Persistence persistence :
+         {faults::Persistence::Intermittent,
+          faults::Persistence::Permanent}) {
+        const std::string what =
+            std::string("pinned ") + faults::persistenceName(persistence);
+        expectSomeOnHelpers(expectDeferredMatchesInline(
+            what, smallWorkload("stream"), config,
+            withPlan(faults::uniformPlan(1e-3, 7, persistence, 0))));
+    }
+}
+
+TEST(SystemDeferredReplay, RetryVerifyAgrees)
+{
+    SystemConfig config = SystemConfig::forMode(Mode::ParaDox);
+    config.escalation.retryVerify = true;
+    for (const char *name : {"bitcount", "mcf"})
+        expectDeferredMatchesInline(
+            std::string(name) + " retry-verify", smallWorkload(name),
+            config, withPlan(faults::uniformPlan(1e-3, 7)));
+}
+
+TEST(SystemDeferredReplay, ChipModePlanReplaysInline)
+{
+    // Chip mode consults the weak-cell map at every event, so no
+    // replay may leave the simulating thread.
+    const std::string name = "bitcount";
+    faults::ChipConfig cc;
+    cc.chipSeed = 3;
+    cc.shape = power::errorModelParams(name);
+    const auto chip = std::make_shared<const faults::ChipModel>(cc);
+    SystemConfig config = SystemConfig::forMode(Mode::ParaDox);
+    config.enableEscalation();
+    const auto prepare = [&chip, &cc](System &system) {
+        system.setFaultPlan(
+            faults::chipPlan(7, faults::Persistence::Transient, -1));
+        system.setChipModel(chip);
+        system.setSupplyVoltage(cc.shape.vFloor + 0.045);
+    };
+    EXPECT_EQ(expectDeferredMatchesInline("chip", smallWorkload(name),
+                                          config, prepare),
+              0u);
 }
 
 TEST(SystemDeferredReplay, InstructionLimitWithReplayInFlightIsClean)
@@ -386,9 +510,10 @@ TEST(SystemDeferredReplay, InstructionLimitWithReplayInFlightIsClean)
     const auto w = smallWorkload("mcf");
     core::RunLimits limits;
     limits.maxInstructions = 30'011;
-    const RunSnapshot deferred = snapshotRun(w, Mode::ParaDox, false,
-                                             limits);
-    EXPECT_EQ(deferred, snapshotRun(w, Mode::ParaDox, true, limits));
+    const SystemConfig config = SystemConfig::forMode(Mode::ParaDox);
+    const RunSnapshot deferred =
+        snapshotRun(w, config, false, nullptr, limits);
+    EXPECT_EQ(deferred, snapshotRun(w, config, true, nullptr, limits));
     EXPECT_NE(deferred.result.find("\"instructions\":30011"),
               std::string::npos)
         << deferred.result;

@@ -1,11 +1,12 @@
 /**
  * @file
  * The System's helper-thread checker replay under ThreadSanitizer.
- * tests/CMakeLists.txt compiles the core, cpu, mem and exp sources --
- * everything a replay and the simulating thread share, plus the
- * runner's pool -- into this binary with -fsanitize=thread.  Every
- * run here is fault-free, so its replays are deferred to a helper
- * thread (DESIGN §11, "Deferred replay").
+ * tests/CMakeLists.txt compiles the core, cpu, mem, faults and exp
+ * sources -- everything a replay and the simulating thread share, plus
+ * the runner's pool -- into this binary with -fsanitize=thread.  The
+ * replays no fault can reach are deferred to a helper thread (DESIGN
+ * §11, "Deferred replay"): every replay of a fault-free run, and those
+ * between two fires of a fault-injecting one.
  */
 
 #include <gtest/gtest.h>
@@ -74,6 +75,23 @@ TEST(SystemTsan, SerialRunHandsReplaysToTheHelper)
     EXPECT_TRUE(out.correct);
     // This thread and its helper; the runner test's workers have no
     // System attached any more.
+    expectJobsOnHelpers(core::ReplayHelper::jobsRunOnHelpers() - before,
+                        2);
+}
+
+TEST(SystemTsan, FaultInjectingRunHandsQuietReplaysToTheHelper)
+{
+    // The helper advances the injectors' gaps; the simulating thread
+    // reads them at the next dispatch and replays the segments a fault
+    // can reach itself.
+    exp::ExperimentSpec spec;
+    spec.workload = "bitcount";
+    spec.faultRate = 1e-4;
+    const std::uint64_t before = core::ReplayHelper::jobsRunOnHelpers();
+    const exp::RunOutcome out = exp::runOne(spec);
+    ASSERT_TRUE(out.ok()) << out.error;
+    EXPECT_TRUE(out.correct);
+    EXPECT_GT(out.result.faultsInjected, 0u);
     expectJobsOnHelpers(core::ReplayHelper::jobsRunOnHelpers() - before,
                         2);
 }
