@@ -56,6 +56,7 @@ main(int argc, char **argv)
     }
 
     std::vector<exp::RunOutcome> outcomes = runner.run(specs);
+    checkRuns("bench_fig10", specs, outcomes);
 
     std::vector<double> detect, medic, dox;
     for (std::size_t i = 0; i < names.size(); ++i) {

@@ -94,6 +94,7 @@ main(int argc, char **argv)
         policySpec(false, constant),
     };
     std::vector<exp::RunOutcome> outcomes = runner.run(specs);
+    checkRuns("bench_fig11", specs, outcomes);
     const core::RunResult &rd = outcomes[0].result;
     const core::RunResult &rc = outcomes[1].result;
 

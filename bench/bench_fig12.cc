@@ -42,6 +42,7 @@ main(int argc, char **argv)
     }
 
     std::vector<exp::RunOutcome> outcomes = runner.run(specs);
+    checkRuns("bench_fig12", specs, outcomes);
 
     double worst_avg = 0.0;
     for (std::size_t i = 0; i < names.size(); ++i) {

@@ -46,6 +46,7 @@ main(int argc, char **argv)
     }
 
     std::vector<exp::RunOutcome> outcomes = runner.run(specs);
+    checkRuns("bench_fig13", specs, outcomes);
 
     std::vector<double> powers, slows, edps;
     for (std::size_t i = 0; i < names.size(); ++i) {

@@ -65,6 +65,7 @@ main(int argc, char **argv)
                 specs.push_back(pointSpec(workload, mode, rate));
 
     std::vector<exp::RunOutcome> outcomes = runner.run(specs);
+    checkRuns("bench_fig9", specs, outcomes);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const exp::ExperimentSpec &spec = specs[i];

@@ -1,8 +1,7 @@
 /**
  * @file
  * Substrate micro-benchmarks (google-benchmark): the hot primitives
- * of the simulator itself -- functional execution, cache lookups,
- * SECDED coding, branch prediction, DRAM timing, RNG, and the
+ * of the simulator itself -- cache lookups, SECDED coding, branch prediction, DRAM timing, RNG, and the
  * experiment-runner fan-out overhead.
  */
 
@@ -12,13 +11,11 @@
 #include "exp/runner.hh"
 #include "exp/sink.hh"
 #include "isa/builder.hh"
-#include "isa/executor.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/memory.hh"
 #include "mem/secded.hh"
 #include "sim/rng.hh"
-#include "workloads/workload.hh"
 
 namespace
 {
@@ -118,25 +115,6 @@ BM_PredictorLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PredictorLookup);
-
-void
-BM_FunctionalExecution(benchmark::State &state)
-{
-    workloads::Workload w = workloads::build("bitcount", 1);
-    mem::SimpleMemory memory;
-    isa::ArchState arch;
-    isa::loadProgram(w.program, arch, memory);
-    std::uint64_t executed = 0;
-    for (auto _ : state) {
-        isa::ExecResult r = isa::step(w.program, arch, memory);
-        ++executed;
-        if (r.halted)
-            isa::loadProgram(w.program, arch, memory);
-        benchmark::DoNotOptimize(r.destValue);
-    }
-    state.SetItemsProcessed(std::int64_t(executed));
-}
-BENCHMARK(BM_FunctionalExecution);
 
 void
 BM_MemoryWrite(benchmark::State &state)

@@ -30,7 +30,6 @@
 
 #include "cpu/checker_timing.hh"
 #include "cpu/main_core.hh"
-#include "isa/engine.hh"
 #include "mem/hierarchy.hh"
 
 namespace paradox
@@ -168,14 +167,6 @@ struct SystemConfig
      */
     unsigned checkerTimeoutFactor = 24;
     std::uint64_t seed = 12345;
-
-    /**
-     * Execution engine for the main core's functional path (and the
-     * checkers' fast replay path).  Decoded is the production
-     * engine; Reference keeps the legacy per-step decoder available
-     * for differential runs (`--engine reference`).
-     */
-    isa::EngineKind engine = isa::EngineKind::Decoded;
 
     /**
      * Uncacheable (memory-mapped I/O) window.  Stores into it update

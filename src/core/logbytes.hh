@@ -2,16 +2,16 @@
  * @file
  * The single home of the load-store-log byte arithmetic.
  *
- * Three consumers must agree byte-for-byte on how much log space a
- * memory access can take: the exact peeked capacity cut in
- * System::stepInstruction (bytesNeeded), the superblock admission
- * gate in System::commitBatch, and the static effect summaries
- * (analysis/effects.hh) whose per-run bounds the gate consumes.  The
- * worst-case math lives in analysis::storeLogBound / uopLogBound
- * (the analysis library cannot see core headers); this header maps a
- * SystemConfig onto those analysis::EffectParams and adds the exact
- * (line-copy-aware) store cost the peek path needs, so core code
- * never re-derives an entry size by hand.
+ * Two consumers must agree byte-for-byte on how much log space a
+ * memory access can take: the admission gate in System::commitBatch,
+ * whose exact per-op bytes decide the capacity cut, and the static
+ * effect summaries (analysis/effects.hh) whose per-run bounds the
+ * gate tries first.  The worst-case math lives in
+ * analysis::storeLogBound / uopLogBound (the analysis library cannot
+ * see core headers); this header maps a SystemConfig onto those
+ * analysis::EffectParams and adds the exact (line-copy-aware) cost
+ * of the next access, so core code never re-derives an entry size by
+ * hand.
  */
 
 #ifndef PARADOX_CORE_LOGBYTES_HH
@@ -69,6 +69,24 @@ storeLogBytes(const analysis::EffectParams &p, std::uint64_t addr,
         bytes += p.storeOldValueBytes;
     }
     return bytes;
+}
+
+/**
+ * Exact log bytes micro-op @p u appends when it executes next from
+ * @p state: a load entry, a store's storeLogBytes() at its effective
+ * address, or nothing.
+ */
+template <typename IsCopied>
+std::size_t
+uopLogBytes(const analysis::EffectParams &p, const isa::MicroOp &u,
+            const isa::ArchState &state, IsCopied &&isCopied)
+{
+    if (u.isLoad)
+        return p.loadEntryBytes;
+    if (u.isStore)
+        return storeLogBytes(p, isa::effectiveAddr(u, state), u.memSize,
+                             isCopied);
+    return 0;
 }
 
 /**

@@ -55,20 +55,13 @@ System::System(const SystemConfig &config, const isa::Program &program,
     // A segment's bytes hold at most this many line copies.
     linesCopiedThisCkpt_.reserve(config_.log.segmentBytes /
                                  config_.log.lineCopyBytes + 1);
-    engine_ = isa::makeEngine(config_.engine, program_);
-    decodedProg_ =
-        engine_->kind() == isa::EngineKind::Decoded
-            ? static_cast<const isa::DecodedEngine &>(*engine_).decodedPtr()
-            : isa::DecodedProgram::get(program_);
-    // Superblock batching commits many instructions per stepOnce()
-    // and is how the decoded engine runs.  A multicore interleaves
-    // cores min-local-time-first, one stepOnce() at a time, so shared
-    // L2/DRAM accesses happen in simulated-time order -- batching
-    // would let one core race thousands of instructions ahead of its
-    // siblings' clocks.
-    batchingAllowed_ =
-        engine_->kind() == isa::EngineKind::Decoded && uncore == nullptr;
+    decodedProg_ = isa::DecodedProgram::get(program_);
     if (uncore) {
+        // A multicore interleaves cores min-local-time-first, one
+        // stepOnce() at a time, so shared L2/DRAM accesses happen in
+        // simulated-time order: a batch of more than one instruction
+        // would let one core race ahead of its siblings' clocks.
+        batchLimit_ = 1;
         hierarchy_ = std::make_unique<mem::CacheHierarchy>(
             config_.hierarchy, mainClock_, uncore->l2.get(),
             uncore->dram.get());
@@ -407,22 +400,6 @@ System::enableDvfs(const faults::UndervoltErrorModel::Params &model)
         faultPlan_.attachChip(chip_.get());
         faultPlan_.setVoltage(currentVoltage_);
     }
-}
-
-std::size_t
-System::bytesNeeded(const isa::MemPeek &p) const
-{
-    const analysis::EffectParams params =
-        logEffectParams(config_, hierarchy_->lineBytes());
-    if (p.isLoad)
-        return params.loadEntryBytes;
-    if (p.isStore)
-        return storeLogBytes(params, p.addr, p.size,
-                             [this](std::uint64_t line) {
-                                 return linesCopiedThisCkpt_.contains(
-                                     line);
-                             });
-    return 0;
 }
 
 void
@@ -1300,7 +1277,7 @@ void
 System::beginRun(const RunLimits &limits)
 {
     settleReplay();
-    engine_->reset(archState_, memory_);
+    isa::loadProgram(program_, archState_, memory_);
     limits_ = limits;
     halted_ = false;
     lastProgressTick_ = mainCore_->now();
@@ -1391,29 +1368,18 @@ System::stepInstruction()
         }
     }
 
-    if (batchingAllowed_ && commitBatch())
+    if (commitBatch())
         return;
 
-    // A batch of one.  Peek the next instruction's memory behaviour
-    // without executing it, so the segment-capacity cut happens
-    // *before* execution at the exact byte count.
-    const isa::MemPeek peek = engine_->peekMem(archState_);
-    if (config_.mode != Mode::Baseline) {
-        if (filling_->wouldOverflow(bytesNeeded(peek),
-                                    config_.log.segmentBytes)) {
-            // Cut the segment at the boundary; the instruction
-            // executes into the new segment.
-            ++*capacityCuts_;
-            closeSegmentAndDispatch();
-            if (!openSegment())
-                return;  // nothing executed; retried next step
-        }
-        // Re-peeked so a capacity cut just above (which emptied the
-        // copied-line set) is reflected: the charge must stay an
-        // upper bound on what logResult appends to *this* segment.
-        segBoundBytes_ += bytesNeeded(peek);
-    }
-    commit(engine_->step(archState_, memory_));
+    // The next load/store's exact log bytes overflow the open
+    // segment: cut it at the boundary, before the access, and the
+    // instruction executes into the new segment.
+    ++*capacityCuts_;
+    closeSegmentAndDispatch();
+    if (!openSegment())
+        return;  // nothing executed; retried next step
+    if (!commitBatch())
+        panic("System: a load/store overflows an empty log segment");
 }
 
 void
@@ -1579,8 +1545,9 @@ System::commitBatch()
 
     // Bound the batch so target cuts and instruction limits land on
     // exactly the boundaries a batch of one would produce.
-    std::uint64_t max_uops = std::min(limits_.maxInstructions - netIndex_,
-                                      limits_.maxExecuted - executed_);
+    std::uint64_t max_uops =
+        std::min({batchLimit_, limits_.maxInstructions - netIndex_,
+                  limits_.maxExecuted - executed_});
     if (logging)
         max_uops = std::min<std::uint64_t>(
             max_uops, ckptCtrl_.target() - instsInSegment_);
@@ -1591,9 +1558,12 @@ System::commitBatch()
     // batches run through segment tails instead of stopping at the
     // first op a single-op worst-case check could not clear.  When
     // the tail does not fit, fall back to admitting one op at a time
-    // under its own (kind- and size-exact) bound.  The budget never
-    // outlives the batch: commit() ends the batch whenever the
-    // segment closes, and every append is <= its op bound.
+    // under its own (kind- and size-exact) bound, and when that does
+    // not fit either, under its exact bytes (admitExact): the gate
+    // refuses an op only if those overflow, which is where the segment
+    // must be cut.  The budget never outlives the batch: commit() ends
+    // the batch whenever the segment closes, and every append is <=
+    // its op bound.
     std::uint64_t budget = 0;
     auto gate = [&](std::uint64_t idx) -> bool {
         if (!logging)
@@ -1613,6 +1583,8 @@ System::commitBatch()
             segBoundBytes_ += op;
             return true;
         }
+        if (admitExact(idx))
+            return true;
         ++*sbGateStops_;
         return false;
     };
@@ -1631,6 +1603,20 @@ System::commitBatch()
         *sbUops_ += uops;
     }
     return uops > 0 || stop != isa::RunStop::MemNext;
+}
+
+bool
+System::admitExact(std::uint64_t idx)
+{
+    const std::size_t exact = uopLogBytes(
+        effects_->params(), decodedProg_->at(idx), archState_,
+        [this](std::uint64_t line) {
+            return linesCopiedThisCkpt_.contains(line);
+        });
+    if (filling_->wouldOverflow(exact, config_.log.segmentBytes))
+        return false;
+    segBoundBytes_ += exact;
+    return true;
 }
 
 void

@@ -39,8 +39,7 @@
 #include "cpu/main_core.hh"
 #include "faults/fault_model.hh"
 #include "faults/undervolt_model.hh"
-#include "isa/engine.hh"
-#include "isa/executor.hh"
+#include "isa/decoded.hh"
 #include "isa/program.hh"
 #include "mem/hierarchy.hh"
 #include "mem/memory.hh"
@@ -255,8 +254,9 @@ class System
     void beginRun(const RunLimits &limits = RunLimits{});
 
     /**
-     * Advance by one instruction (Running) or one check completion
-     * (Draining).  @return false once Done.
+     * Advance by one batch of instructions (Running) or one check
+     * completion (Draining).  Over a SharedUncore a batch is one
+     * instruction.  @return false once Done.
      */
     bool stepOnce();
 
@@ -479,26 +479,32 @@ class System
     /**
      * One Running-phase step: the instruction-boundary work (limits,
      * watchdog, check retirement, segment open and target cut), then
-     * one batch of commits -- a superblock through the decoded image
-     * when batching is allowed, otherwise a batch of one.  Updates
-     * phase_.
+     * one commitBatch(), preceded by the capacity cut when the gate
+     * refuses its first load/store.  Updates phase_.
      */
     void stepInstruction();
 
     /**
-     * Run a superblock of decoded micro-ops through commit() in one
-     * runDecoded() pass.  A load/store without guaranteed log
-     * headroom stops the batch so the exact peeked capacity cut runs
-     * in stepInstruction().
-     * @return false if the gate refused the first micro-op (caller
-     *         must take the exact batch-of-one path).
+     * Run up to batchLimit_ decoded micro-ops through commit() in one
+     * runDecoded() pass.  The gate admits a load/store only if its log
+     * bytes fit the open segment (DESIGN §11, "One commit path").
+     * @return false if the gate refused the first micro-op: its exact
+     *         bytes overflow the segment, which must be cut first.
      */
     bool commitBatch();
 
     /**
-     * The per-record commit pipeline, shared by every engine and
-     * batch size: log, count, ECC, main-core faults, translation and
-     * timing, MMIO drain, detections, halt.
+     * commitBatch()'s last resort for micro-op @p idx, whose effect
+     * bounds overflow the open segment: admit it, charging
+     * segBoundBytes_, iff its exact log bytes (from its address and
+     * the copied-line set) fit.  Cold, so the batch loop stays small.
+     */
+    [[gnu::cold]] bool admitExact(std::uint64_t idx);
+
+    /**
+     * The per-record commit pipeline, shared by every batch size:
+     * log, count, ECC, main-core faults, translation and timing,
+     * MMIO drain, detections, halt.
      * @return true iff the next instruction may commit in the same
      *         batch: no phase change happened (segment closed,
      *         rollback, drain, halt, injected fault, tick limit, due
@@ -529,14 +535,6 @@ class System
      *  the per-commit kernel, so force-inlined like commit(). */
     [[gnu::always_inline]] inline void
     logResult(const isa::CommitRecord &r);
-
-    /**
-     * Log bytes the *next* instruction will consume, from its peeked
-     * memory behaviour.  Evaluated before execution so the commit
-     * loop can cut the segment at the boundary instead of executing,
-     * undoing and re-executing.
-     */
-    std::size_t bytesNeeded(const isa::MemPeek &p) const;
 
     /** Capture pre-store line images for line-granularity rollback. */
     void captureLineCopies(const isa::CommitRecord &r);
@@ -591,16 +589,13 @@ class System
     SystemConfig config_;
     const isa::Program &program_;
 
-    /** Execution engine (config_.engine) for the main core's
-     * functional path; owns fetch and decode. */
-    std::unique_ptr<isa::Engine> engine_;
-    /** Shared decoded image, with either engine: checker replay
-     * runs it, and so do superblock commits. */
+    /** The shared decoded image: every commit and every checker
+     * replay runs it. */
     std::shared_ptr<const isa::DecodedProgram> decodedProg_;
-    /** Superblock commits permitted: the decoded engine, and no
-     * shared uncore (the multicore interleave needs per-instruction
-     * granularity). */
-    bool batchingAllowed_ = false;
+    /** Most instructions one commitBatch() runs: 1 over a shared
+     * uncore, whose min-time-first interleave steps one instruction
+     * per stepOnce(), unbounded otherwise. */
+    std::uint64_t batchLimit_ = ~std::uint64_t(0);
 
     mem::SimpleMemory memory_;
     isa::ArchState archState_;
@@ -634,10 +629,10 @@ class System
     /** Pre-store line image buffer, reused by captureLineCopies(). */
     std::vector<std::uint8_t> lineImage_;
     /**
-     * Sum of the static worst-case log-byte bounds the segment's
-     * accesses were admitted under (superblock gate: effect-summary
-     * run/uop bounds; batch of one: the exact peeked bytes).
-     * Always >= filling_->bytesUsed(); emitted per segment as the
+     * Sum of the log-byte bounds the segment's accesses were admitted
+     * under by commitBatch()'s gate: an effect-summary run or op
+     * bound, or the op's exact bytes when neither fits.  Always >=
+     * filling_->bytesUsed(); emitted per segment as the
      * "seg-bound-bytes" instant for trace_report --memdep.
      */
     std::uint64_t segBoundBytes_ = 0;

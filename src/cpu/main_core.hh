@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "cpu/branch_pred.hh"
-#include "isa/engine.hh"
+#include "isa/commit_record.hh"
 #include "mem/hierarchy.hh"
 #include "sim/clock.hh"
 #include "sim/types.hh"

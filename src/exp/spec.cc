@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/vuln.hh"
 #include "obs/profiler.hh"
@@ -34,23 +35,9 @@ summarize(const stats::Distribution &d)
 
 } // namespace
 
-RunOutcome
-runOne(const ExperimentSpec &spec)
+core::SystemConfig
+buildConfig(const ExperimentSpec &spec)
 {
-    PARADOX_PROF_SCOPE("run");
-    // The setup phase is scoped with an optional so it closes before
-    // "sim" opens even when construction throws.
-    std::optional<obs::ScopedPhase> setup_phase;
-    setup_phase.emplace("setup");
-
-    const auto &names = workloads::allNames();
-    if (std::find(names.begin(), names.end(), spec.workload) ==
-        names.end())
-        throw std::invalid_argument("unknown workload '" +
-                                    spec.workload + "'");
-
-    workloads::Workload w = workloads::build(spec.workload, spec.scale);
-
     core::SystemConfig config = core::SystemConfig::forMode(spec.mode);
     config.seed = spec.seed;
     if (spec.checkers)
@@ -62,7 +49,6 @@ runOne(const ExperimentSpec &spec)
     }
     if (spec.timeoutFactor)
         config.checkerTimeoutFactor = spec.timeoutFactor;
-    config.engine = spec.engine;
     config.memoryEccFaultRate = spec.eccRate;
     if (spec.escalate)
         config.enableEscalation();
@@ -74,7 +60,14 @@ runOne(const ExperimentSpec &spec)
             "pinned checker " + std::to_string(spec.pinChecker) +
             " out of range (only " +
             std::to_string(config.checkers.count) + " checkers)");
+    return config;
+}
 
+void
+armSystem(core::System &system, const ExperimentSpec &spec,
+          const isa::Program &program)
+{
+    const core::SystemConfig &config = system.config();
     // Chip mode: sample this chip's persistent fault map.  The
     // voltage->probability shape is the workload's own undervolt
     // profile, so chip-mode and ambient-mode runs share calibration.
@@ -100,7 +93,6 @@ runOne(const ExperimentSpec &spec)
                 "supplyVoltage requires chip mode (chipSeed != 0)");
     }
 
-    core::System system(config, w.program);
     if (spec.dvfs) {
         system.enableDvfs(power::errorModelParams(spec.workload));
         if (chip)
@@ -140,7 +132,43 @@ runOne(const ExperimentSpec &spec)
         // The result word is architectural output beyond the declared
         // footprint; everything else follows from the program.
         system.setVulnModel(analysis::VulnAnalysis::build(
-            w.program, {{workloads::resultAddr, 8, "result"}}));
+            program, {{workloads::resultAddr, 8, "result"}}));
+}
+
+RunOutcome
+summarizeRun(core::System &system, core::RunResult result,
+             std::uint64_t expected)
+{
+    RunOutcome out;
+    out.result = std::move(result);
+    out.finalValue = system.memory().read(workloads::resultAddr, 8);
+    out.expected = expected;
+    out.correct = out.result.halted && out.finalValue == out.expected;
+    out.eccCorrected = system.eccCorrected();
+    out.rollbackNs = summarize(system.rollbackTimesNs());
+    out.wastedNs = summarize(system.wastedExecNs());
+    out.ckptLen = summarize(system.checkpointLengths());
+    return out;
+}
+
+RunOutcome
+runOne(const ExperimentSpec &spec)
+{
+    PARADOX_PROF_SCOPE("run");
+    // The setup phase is scoped with an optional so it closes before
+    // "sim" opens even when construction throws.
+    std::optional<obs::ScopedPhase> setup_phase;
+    setup_phase.emplace("setup");
+
+    const auto &names = workloads::allNames();
+    if (std::find(names.begin(), names.end(), spec.workload) ==
+        names.end())
+        throw std::invalid_argument("unknown workload '" +
+                                    spec.workload + "'");
+
+    workloads::Workload w = workloads::build(spec.workload, spec.scale);
+    core::System system(buildConfig(spec), w.program);
+    armSystem(system, spec, w.program);
 
     obs::TraceSink trace;
     if (!spec.traceFile.empty()) {
@@ -152,18 +180,13 @@ runOne(const ExperimentSpec &spec)
 
     setup_phase.reset();
 
-    RunOutcome out;
+    core::RunResult result;
     {
         PARADOX_PROF_SCOPE("sim");
-        out.result = system.run(spec.limits);
+        result = system.run(spec.limits);
     }
-    out.finalValue = system.memory().read(workloads::resultAddr, 8);
-    out.expected = w.expectedResult;
-    out.correct = out.result.halted && out.finalValue == out.expected;
-    out.eccCorrected = system.eccCorrected();
-    out.rollbackNs = summarize(system.rollbackTimesNs());
-    out.wastedNs = summarize(system.wastedExecNs());
-    out.ckptLen = summarize(system.checkpointLengths());
+    RunOutcome out =
+        summarizeRun(system, std::move(result), w.expectedResult);
     if (!spec.traceFile.empty() && obs::tracingCompiledIn) {
         PARADOX_PROF_SCOPE("trace-write");
         const std::string tool =

@@ -80,10 +80,6 @@ struct ExperimentSpec
     unsigned timeoutFactor = 0;
     /** @} */
 
-    /** Execution engine ("decoded" default; "reference" for the
-     * legacy per-step decoder -- differential/debug runs). */
-    isa::EngineKind engine = isa::EngineKind::Decoded;
-
     /**
      * Install the static vulnerability model (analysis::VulnAnalysis
      * over the workload program + result word): every firing fault is
@@ -149,6 +145,31 @@ struct RunOutcome
 
     bool ok() const { return error.empty(); }
 };
+
+/**
+ * The SystemConfig runOne() builds @p spec's System from: the mode's
+ * defaults, the spec's overrides, then its configure hook.  Throws
+ * std::invalid_argument for a pinned checker out of range.
+ */
+core::SystemConfig buildConfig(const ExperimentSpec &spec);
+
+/**
+ * Install on @p system, built from buildConfig(@p spec) over
+ * @p program, what runOne() installs before running: the fault plans,
+ * DVFS, the chip model and fixed supply, and the vulnerability model.
+ * Throws std::invalid_argument for a supply voltage without chip mode
+ * or with dvfs.
+ */
+void armSystem(core::System &system, const ExperimentSpec &spec,
+               const isa::Program &program);
+
+/**
+ * The RunOutcome of @p system's finished run @p result, checked
+ * against the workload's golden checksum @p expected (host timing and
+ * trace path left unset).
+ */
+RunOutcome summarizeRun(core::System &system, core::RunResult result,
+                        std::uint64_t expected);
 
 /**
  * Execute @p spec to completion and summarize it.

@@ -12,6 +12,19 @@ namespace isa
 
 const CommitRecord rundetail::blankRecord{};
 
+SourceRegs
+decodeSources(const Instruction &inst)
+{
+    std::uint8_t enc[3];
+    const auto srcs = inst.sources();
+    for (unsigned i = 0; i < 3; ++i)
+        enc[i] = srcs[i].file == Operand::None ? srcNone
+                 : srcs[i].file == Operand::Fp
+                     ? std::uint8_t(srcs[i].idx | srcFpBit)
+                     : srcs[i].idx;
+    return {enc[0], enc[1], enc[2]};
+}
+
 namespace
 {
 
@@ -141,37 +154,6 @@ DecodedProgram::get(const Program &prog)
         }
     }
     return dp;
-}
-
-MemPeek
-DecodedEngine::peekMem(const ArchState &state) const
-{
-    MemPeek p;
-    const Addr pc = state.pc();
-    const std::size_t idx = pc / instBytes;
-    if (pc % instBytes != 0 || idx >= dp_->size())
-        return p;
-    const MicroOp &u = dp_->at(idx);
-    p.valid = true;
-    if (u.isLoad || u.isStore) {
-        p.isLoad = u.isLoad;
-        p.isStore = u.isStore;
-        p.addr = state.readX(u.rs1) + std::uint64_t(u.imm);
-        p.size = u.memSize;
-    }
-    return p;
-}
-
-CommitRecord
-DecodedEngine::step(ArchState &state, MemIf &mem)
-{
-    CommitRecord out;
-    runDecoded(*dp_, state, mem, 1,
-               [&out](const CommitRecord &r) {
-                   out = r;
-                   return true;
-               });
-    return out;
 }
 
 } // namespace isa

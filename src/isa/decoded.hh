@@ -1,7 +1,7 @@
 /**
  * @file
- * Pre-decoded micro-op image of a Program, and the production engine
- * that executes it.
+ * Pre-decoded micro-op image of a Program: what every instruction the
+ * simulator runs executes from.
  *
  * Decode happens once, at DecodedProgram construction: every
  * Instruction becomes one flat MicroOp with its encoded sources,
@@ -27,7 +27,8 @@
 #include <memory>
 #include <vector>
 
-#include "isa/engine.hh"
+#include "isa/arch_state.hh"
+#include "isa/commit_record.hh"
 
 namespace paradox
 {
@@ -44,7 +45,7 @@ struct MicroOp
     InstClass cls = InstClass::Other;
     std::uint8_t memSize = 0;    //!< access bytes (0 if not memory)
 
-    /** Encoded sources (engine.hh), as the scoreboard consumes them. */
+    /** Encoded sources (commit_record.hh), as the scoreboard reads them. */
     std::uint8_t srcA = srcNone;
     std::uint8_t srcB = srcNone;
     std::uint8_t srcC = srcNone;
@@ -119,30 +120,15 @@ class DecodedProgram
 };
 
 /**
- * The production engine: executes the pre-decoded micro-op image
- * with a threaded-dispatch inner loop.  Differentially tested
- * against ReferenceEngine (tests/test_executor_differential.cc) to
- * produce bit-identical commit records and architectural state.
+ * The address memory micro-op @p u accesses when it executes next
+ * from @p state (rs1 + imm), known before it runs.  The System's
+ * commit gate derives an op's exact log bytes from it.
  */
-class DecodedEngine final : public Engine
+inline Addr
+effectiveAddr(const MicroOp &u, const ArchState &state)
 {
-  public:
-    explicit DecodedEngine(const Program &prog)
-        : Engine(prog), dp_(DecodedProgram::get(prog))
-    {}
-
-    EngineKind kind() const override { return EngineKind::Decoded; }
-    MemPeek peekMem(const ArchState &state) const override;
-    CommitRecord step(ArchState &state, MemIf &mem) override;
-
-    /** The decoded image (shared with replay fast paths). */
-    const DecodedProgram &decoded() const { return *dp_; }
-    std::shared_ptr<const DecodedProgram> decodedPtr() const
-    { return dp_; }
-
-  private:
-    std::shared_ptr<const DecodedProgram> dp_;
-};
+    return state.readX(u.rs1) + std::uint64_t(u.imm);
+}
 
 } // namespace isa
 } // namespace paradox

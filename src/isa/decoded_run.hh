@@ -4,17 +4,17 @@
  *
  * runDecoded() is a template so each caller instantiates it against
  * a *concrete* memory type: the checker-replay fast path runs it
- * devirtualized over its log-replay adapter, the engine's generic
- * step() over plain MemIf.  Dispatch is a computed goto on GNU-
+ * devirtualized over its log-replay adapter, the System's commit path
+ * over its main memory.  Dispatch is a computed goto on GNU-
  * compatible compilers (one indirect branch per micro-op, no bounds
  * check); the portable fallback is a dense switch, which compilers
  * lower to the same jump table a function-pointer dispatch would
  * use.
  *
- * Semantics are a line-for-line mirror of the reference executor
- * (executor.cc); tests/test_executor_differential.cc holds the two
- * to bit-identical commit records and architectural state across
- * every workload and seeded random programs.
+ * Semantics are a line-for-line mirror of the test-only reference
+ * executor (tests/isa_oracle.cc); tests/test_executor_differential.cc
+ * holds the two to bit-identical commit records and architectural
+ * state across every workload and seeded random programs.
  */
 
 #ifndef PARADOX_ISA_DECODED_RUN_HH
@@ -153,9 +153,9 @@ initRecord(CommitRecord &r, bool valid, Addr pc, const MicroOp &u)
  * consult per-op static facts (the effect-summary byte bounds);
  * returning false stops the run with RunStop::MemNext and the state
  * positioned exactly at that instruction (pc unchanged, nothing
- * committed).  The commit loop uses it to break a superblock batch
- * when the open log segment is not guaranteed to have headroom, so
- * the exact peeked capacity cut can run before the access.
+ * committed).  The commit loop uses it to stop a batch at a load or
+ * store whose exact log bytes would overflow the open segment, so the
+ * capacity cut runs before the access.
  */
 template <typename Mem, typename Sink, typename MemGate>
 RunStop

@@ -1,13 +1,14 @@
 /**
  * @file
- * Single-step functional execution of PDX64 instructions.
+ * The functional outcome of one executed PDX64 instruction, and the
+ * program load that every run starts from.
  *
- * Both core types share this executor: the main core steps it against
- * real memory, the checker core against a load-store-log replay
- * adapter.  Keeping a single functional-semantics implementation and
- * differing only in the MemIf mirrors ParaMedic's property that the
- * two cores re-execute the same committed instruction stream along
- * different data paths.
+ * Both core types execute the same decoded image (decoded_run.hh):
+ * the main core against real memory, the checker cores against a
+ * load-store-log replay adapter.  One functional-semantics
+ * implementation differing only in the MemIf mirrors ParaMedic's
+ * property that the two cores re-execute the same committed
+ * instruction stream along different data paths.
  */
 
 #ifndef PARADOX_ISA_EXECUTOR_HH
@@ -54,21 +55,16 @@ struct ExecResult
 };
 
 /**
- * Execute one instruction at @p state.pc() of @p prog against @p mem,
- * updating @p state (including its pc).
- *
- * A fetch outside the code image returns ExecResult::valid == false
- * with the state unchanged; on a checker core this constitutes
- * "invalid checker core behavior" and is reported as a detection
- * (paper figure 7).
- */
-ExecResult step(const Program &prog, ArchState &state, MemIf &mem);
-
-/**
  * Apply @p prog's initial data image to @p mem, and zero-initialize
  * @p state with the program entry point.
  */
-void loadProgram(const Program &prog, ArchState &state, MemIf &mem);
+inline void
+loadProgram(const Program &prog, ArchState &state, MemIf &mem)
+{
+    state.reset(0);
+    for (const auto &cell : prog.data())
+        mem.write(cell.addr, 8, cell.value);
+}
 
 } // namespace isa
 } // namespace paradox

@@ -1,13 +1,13 @@
 /**
  * @file
- * FMIN/FMAX semantics, defined once for every engine.
+ * FMIN/FMAX semantics, defined once for every executor.
  *
  * C leaves the sign of fmin(+0, -0) unspecified, and GCC's inlined
  * minsd and the libm call pick different zeros depending on the
- * optimisation level, so std::fmin/std::fmax would make the two
- * engines disagree in some builds.  These follow RISC-V F instead:
- * -0 orders below +0, a NaN operand yields the other operand, and two
- * NaNs yield the canonical quiet NaN.
+ * optimisation level, so std::fmin/std::fmax would make the decoded
+ * loop and the reference executor disagree in some builds.  These
+ * follow RISC-V F instead: -0 orders below +0, a NaN operand yields
+ * the other operand, and two NaNs yield the canonical quiet NaN.
  */
 
 #ifndef PARADOX_ISA_FP_MINMAX_HH

@@ -1,8 +1,8 @@
 /**
  * @file
  * The System-level scenario matrix shared by test_system_differential
- * (decoded vs reference engine) and test_sim_golden (decoded engine vs
- * a checked-in digest table): every mode and fault mechanism the
+ * (full-size batches vs batches of one) and test_sim_golden (a
+ * checked-in digest table): every mode and fault mechanism the
  * simulator has, each applied on top of a default ExperimentSpec.
  */
 

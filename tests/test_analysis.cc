@@ -20,7 +20,7 @@
 #include "analysis/linter.hh"
 #include "analysis/regmodel.hh"
 #include "isa/builder.hh"
-#include "isa/executor.hh"
+#include "isa_oracle.hh"
 #include "mem/memory.hh"
 #include "obs/trace_reader.hh"
 #include "workloads/workload.hh"

@@ -16,7 +16,7 @@
 #include "core/scheduler.hh"
 #include "core/system.hh"
 #include "isa/builder.hh"
-#include "isa/executor.hh"
+#include "isa_oracle.hh"
 #include "mem/memory.hh"
 #include "workloads/workload.hh"
 

@@ -16,6 +16,7 @@
 #include "cpu/checker_timing.hh"
 #include "cpu/main_core.hh"
 #include "isa/builder.hh"
+#include "isa_oracle.hh"
 #include "mem/hierarchy.hh"
 #include "sim/rng.hh"
 

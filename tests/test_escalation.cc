@@ -478,24 +478,23 @@ TEST(Escalation, SustainedRollbacksEscalateToPanicResets)
 TEST(Escalation, WatchdogTripsAtTheSameCommitWithAndWithoutBatching)
 {
     // The progress watchdog can come due inside a superblock batch;
-    // commit() must then end the batch at the record where the batch
-    // of one (the reference engine) trips it.  The livelock above,
-    // with a watchdog short enough to come due between checkpoints,
-    // on both engines: every result field and stat must match, but for
-    // main.sb_*, which count how the host batched commits.
+    // commit() must then end the batch at the record where a batch of
+    // one (a System over a one-core shared uncore) trips it.  The
+    // livelock above, with a watchdog short enough to come due between
+    // checkpoints, both ways: every result field and stat must match,
+    // but for main.sb_*, which count how the host batched commits.
     static const std::regex batching(",\"main\\.sb_[a-z_]+\":[^,}]*");
     auto w = workloads::build("bitcount", 1);
     core::RunResult results[2];
     std::string stats[2];
-    const isa::EngineKind engines[2] = {isa::EngineKind::Decoded,
-                                        isa::EngineKind::Reference};
     for (int k = 0; k < 2; ++k) {
         core::SystemConfig config =
             core::SystemConfig::forMode(core::Mode::ParaDox);
-        config.engine = engines[k];
         config.escalation.panicRollbackThreshold = 4;
         config.escalation.progressWatchdogUs = 0.5;
-        core::System system(config, w.program);
+        core::SharedUncore uncore = core::makeSharedUncore(config);
+        core::System system(config, w.program,
+                            k == 0 ? nullptr : &uncore);
         system.setFaultPlan(faults::uniformPlan(
             0.5, 21, faults::Persistence::Permanent, 0));
         core::RunLimits limits;

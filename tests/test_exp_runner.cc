@@ -20,6 +20,7 @@
 #include "exp/runner.hh"
 #include "exp/sink.hh"
 #include "exp/spec.hh"
+#include "tsan_options.hh"
 
 namespace
 {

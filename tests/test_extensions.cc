@@ -9,6 +9,7 @@
 
 #include "core/system.hh"
 #include "isa/builder.hh"
+#include "isa_oracle.hh"
 #include "workloads/workload.hh"
 
 namespace

@@ -14,7 +14,7 @@
 #include "analysis/regmodel.hh"
 #include "isa/builder.hh"
 #include "isa/decoded.hh"
-#include "isa/executor.hh"
+#include "isa_oracle.hh"
 #include "mem/memory.hh"
 #include "sim/rng.hh"
 

@@ -1,14 +1,14 @@
 /**
  * @file
  * Golden simulated output: every workload at scale 1 under every
- * scenario of sim_scenarios.hh, run on the decoded engine, must hash
- * to the digest checked in at tests/sim_golden.txt.
+ * scenario of sim_scenarios.hh must hash to the digest checked in at
+ * tests/sim_golden.txt.
  *
- * test_system_differential only compares the two engines, which share
- * all of the timing model (caches, TLBs, checker timing, the commit
- * glue); a host-side shortcut that is wrong in that shared code moves
- * both engines together and passes it.  This test pins the numbers
- * themselves.
+ * test_system_differential only compares full-size batches with
+ * batches of one, which share all of the timing model (caches, TLBs,
+ * checker timing, the commit glue); a host-side shortcut that is wrong
+ * in that shared code moves both together and passes it.  This test
+ * pins the numbers themselves.
  *
  * A change that is *meant* to move simulated numbers regenerates the
  * table with

@@ -297,18 +297,16 @@ TEST(SystemStats, RecoveryCostsAreRecorded)
 TEST(SystemLimits, TickLimitStopsAtTheSameCommitWithAndWithoutBatching)
 {
     // A superblock batch must end at the record that reaches the tick
-    // limit, where the batch of one (the reference engine) stops.  A
-    // faulty ParaDox run, cut halfway through its fault-free-length
-    // time, on both engines.
+    // limit, where a batch of one (a System over a one-core shared
+    // uncore) stops.  A faulty ParaDox run, cut halfway through its
+    // fault-free-length time, both ways.
     auto w = smallWorkload("stream");
     const Tick full = runMode(Mode::ParaDox, w).time;
     RunResult results[2];
-    const isa::EngineKind engines[2] = {isa::EngineKind::Decoded,
-                                        isa::EngineKind::Reference};
     for (int k = 0; k < 2; ++k) {
-        SystemConfig config = SystemConfig::forMode(Mode::ParaDox);
-        config.engine = engines[k];
-        System system(config, w.program);
+        const SystemConfig config = SystemConfig::forMode(Mode::ParaDox);
+        core::SharedUncore uncore = core::makeSharedUncore(config);
+        System system(config, w.program, k == 0 ? nullptr : &uncore);
         system.setFaultPlan(faults::uniformPlan(1e-3, 7));
         core::RunLimits limits;
         limits.maxTicks = full / 2 + 7;

@@ -1,11 +1,12 @@
 /**
  * @file
- * System-level engine differential: every workload under every mode
- * and fault scenario, run once with the decoded engine (superblock
- * batches) and once with the reference engine (batches of one), must
- * produce byte-identical result records and stats registries.  Engine
- * choice and batching are host-side optimizations; no simulated
- * number may depend on them.
+ * System-level batching differential: every workload under every mode
+ * and fault scenario, run once through exp::runOne (a private System,
+ * whose commitBatch() runs whole superblocks) and once on the same
+ * spec's System over a one-core shared uncore (a batch of one per
+ * step, as every multicore core runs), must produce byte-identical
+ * result records and stats registries.  Batching is a host-side
+ * optimization; no simulated number may depend on it.
  */
 
 #include <gtest/gtest.h>
@@ -27,50 +28,71 @@ using namespace paradox;
 using testing_support::scenarios;
 using testing_support::simDigest;
 
+std::string
+registryJson(const core::System &system)
+{
+    std::ostringstream os;
+    system.registry().dumpJson(os);
+    return os.str();
+}
+
+/** @p spec through exp::runOne: full-size batches. */
+std::string
+batchedDigest(exp::ExperimentSpec spec)
+{
+    std::string registry;
+    spec.observe = [&registry](core::System &sys, exp::RunOutcome &) {
+        registry = registryJson(sys);
+    };
+    const exp::RunOutcome out = exp::runOne(spec);
+    EXPECT_TRUE(out.correct) << spec.workload;
+    return simDigest(spec, out, registry);
+}
+
+/** @p spec on a System over a one-core shared uncore: batches of one. */
+std::string
+batchOfOneDigest(const exp::ExperimentSpec &spec)
+{
+    const workloads::Workload w =
+        workloads::build(spec.workload, spec.scale);
+    const core::SystemConfig config = exp::buildConfig(spec);
+    core::SharedUncore uncore = core::makeSharedUncore(config);
+    core::System system(config, w.program, &uncore);
+    exp::armSystem(system, spec, w.program);
+    const exp::RunOutcome out = exp::summarizeRun(
+        system, system.run(spec.limits), w.expectedResult);
+    return simDigest(spec, out, registryJson(system));
+}
+
 class SystemDifferential : public ::testing::TestWithParam<std::size_t>
 {
 };
 
-TEST_P(SystemDifferential, EnginesAgreeOnEveryWorkload)
+TEST_P(SystemDifferential, BatchesOfOneAgreeOnEveryWorkload)
 {
     const testing_support::Scenario &scenario = scenarios()[GetParam()];
     const std::vector<std::string> &names = workloads::allNames();
 
-    std::vector<exp::ExperimentSpec> specs;
-    for (const std::string &name : names) {
-        for (isa::EngineKind engine :
-             {isa::EngineKind::Decoded, isa::EngineKind::Reference}) {
-            exp::ExperimentSpec spec;
-            spec.workload = name;
-            spec.engine = engine;
-            scenario.apply(spec);
-            specs.push_back(spec);
-        }
+    std::vector<exp::ExperimentSpec> specs(names.size());
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        specs[w].workload = names[w];
+        scenario.apply(specs[w]);
     }
-    std::vector<std::string> registries(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        specs[i].observe = [&registries, i](core::System &sys,
-                                            exp::RunOutcome &) {
-            std::ostringstream os;
-            sys.registry().dumpJson(os);
-            registries[i] = os.str();
-        };
 
     exp::RunnerOptions opt;
     opt.jobs = 2;
-    const std::vector<exp::RunOutcome> outs =
-        exp::Runner(opt).run(specs);
+    // Job 2w runs workload w batched, job 2w + 1 in batches of one.
+    const std::vector<std::string> digests =
+        exp::Runner(opt).map<std::string>(
+            2 * specs.size(), [&specs](std::size_t i) {
+                const exp::ExperimentSpec &spec = specs[i / 2];
+                return i % 2 == 0 ? batchedDigest(spec)
+                                  : batchOfOneDigest(spec);
+            });
 
     for (std::size_t w = 0; w < names.size(); ++w) {
-        const std::size_t d = 2 * w, r = 2 * w + 1;
         SCOPED_TRACE(names[w] + " / " + scenario.name);
-        ASSERT_TRUE(outs[d].ok()) << outs[d].error;
-        ASSERT_TRUE(outs[r].ok()) << outs[r].error;
-        EXPECT_TRUE(outs[d].correct);
-        // Render both under the decoded spec: the engine is the only
-        // field the two specs differ in.
-        EXPECT_EQ(simDigest(specs[d], outs[d], registries[d]),
-                  simDigest(specs[d], outs[r], registries[r]));
+        EXPECT_EQ(digests[2 * w], digests[2 * w + 1]);
     }
 }
 

@@ -15,6 +15,7 @@
 #include "core/system.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
+#include "tsan_options.hh"
 #include "workloads/workload.hh"
 
 namespace

@@ -19,7 +19,7 @@
 #include "analysis/vuln.hh"
 #include "faults/chip_model.hh"
 #include "isa/builder.hh"
-#include "isa/executor.hh"
+#include "isa_oracle.hh"
 #include "mem/memory.hh"
 #include "workloads/workload.hh"
 

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "isa/executor.hh"
+#include "isa_oracle.hh"
 #include "mem/memory.hh"
 #include "workloads/workload.hh"
 

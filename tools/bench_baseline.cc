@@ -72,7 +72,6 @@ main(int argc, char **argv)
 
     std::string workloads_arg = "bitcount,stream,mcf";
     std::string out_path;
-    std::string engine_arg = "decoded";
     unsigned scale = 2;
     unsigned reps = 3;
     bool quiet = false;
@@ -86,8 +85,6 @@ main(int argc, char **argv)
     cli.opt("scale", scale, "workload size multiplier");
     cli.opt("reps", reps, "repetitions per workload (best kept)");
     cli.opt("out", out_path, "write the JSON report here");
-    cli.opt("engine", engine_arg,
-            "execution engine: decoded (default) or reference");
     cli.flag("profile", profile,
              "run one extra profiled rep per workload and report "
              "host-time attribution (paradox-prof/1)");
@@ -97,12 +94,6 @@ main(int argc, char **argv)
     cli.alias("q", "quiet");
     if (!cli.parse(argc, argv))
         return 2;
-    isa::EngineKind engine;
-    if (!isa::parseEngineKind(engine_arg, engine)) {
-        std::fprintf(stderr, "bench_baseline: unknown engine '%s'\n",
-                     engine_arg.c_str());
-        return 2;
-    }
     if (quiet)
         setLogLevel(0);
     if (reps == 0)
@@ -132,7 +123,6 @@ main(int argc, char **argv)
         spec.workload = name;
         spec.scale = scale;
         spec.mode = core::Mode::ParaDox;
-        spec.engine = engine;
         spec.checkers = 16;
         spec.maxCheckpoint = 5000;
         spec.limits.maxExecuted = 2'000'000'000ULL;
@@ -250,8 +240,6 @@ main(int argc, char **argv)
     std::string json = "{\"schema\":\"paradox-bench/1\","
                        "\"tool\":\"bench_baseline\",";
     json += "\"host\":{" + obs::hostJsonFields() + "},";
-    json += "\"engine\":\"" +
-            std::string(isa::engineKindName(engine)) + "\",";
     json += "\"scale\":" + std::to_string(scale) +
             ",\"reps\":" + std::to_string(reps) + ",\"workloads\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {
