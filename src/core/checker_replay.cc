@@ -6,7 +6,6 @@
 
 #include "analysis/vuln.hh"
 #include "isa/decoded_run.hh"
-#include "obs/profiler.hh"
 
 namespace paradox
 {
@@ -303,7 +302,6 @@ replaySegment(const isa::Program &prog, const LogSegment &segment,
               const isa::DecodedProgram *decoded,
               const analysis::VulnAnalysis *vuln)
 {
-    PARADOX_PROF_SCOPE("checker-replay");
     ReplayOutcome outcome;
     isa::ArchState state = segment.startState();
     // Attribute injected events to this checker so per-checker

@@ -9,7 +9,6 @@
 #include "isa/decoded.hh"
 #include "isa/decoded_run.hh"
 #include "isa/opcode.hh"
-#include "obs/profiler.hh"
 #include "sim/logging.hh"
 
 namespace paradox
@@ -352,7 +351,6 @@ System::setVulnModel(std::shared_ptr<const analysis::VulnAnalysis> vuln)
 bool
 System::maybeMainCoreFault(const isa::CommitRecord &r)
 {
-    PARADOX_PROF_SCOPE("fault-inject");
     // The corruption logic itself (which register, stuck-at vs flip)
     // is shared with the checker replay: applyInstructionFaults.
     const std::uint64_t fired = applyInstructionFaults(
@@ -914,7 +912,6 @@ System::maybeEccEvent(const isa::CommitRecord &r)
 void
 System::machineCheckRollback()
 {
-    PARADOX_PROF_SCOPE("due-rollback");
     // Detected-but-uncorrectable memory error: discard the open
     // segment and restart it from its checkpoint.  Rollback rewrites
     // every touched location through the log's ECC-protected copies,
@@ -1065,7 +1062,6 @@ System::processDetections(Tick now)
 void
 System::performRollback(std::size_t idx, Tick stop)
 {
-    PARADOX_PROF_SCOPE("rollback");
     if (!config_.rollbackSupported)
         panic("detection fired but rollback is unsupported in this mode");
     settleReplay();
@@ -1329,7 +1325,6 @@ System::refreshNextEvent()
 void
 System::stepInstruction()
 {
-    PARADOX_PROF_SCOPE("step");
     if (netIndex_ >= limits_.maxInstructions ||
         executed_ >= limits_.maxExecuted ||
         mainCore_->now() >= limits_.maxTicks) {
@@ -1622,7 +1617,6 @@ System::admitExact(std::uint64_t idx)
 void
 System::stepDrain()
 {
-    PARADOX_PROF_SCOPE("drain");
     if (pending_.empty()) {
         halted_ = true;
         phase_ = Phase::Done;

@@ -232,8 +232,7 @@ class System
      * runtime metrics are sampled onto counter tracks every
      * @p metrics_interval of simulated time.  @p sink must outlive
      * the System; nullptr detaches.  A no-op (beyond one pointer
-     * test per hook) when detached or when compiled with
-     * -DPARADOX_TRACING=0.
+     * test per hook) when detached.
      */
     void setTracer(obs::TraceSink *sink,
                    Tick metrics_interval = 10 * ticksPerUs);
@@ -568,7 +567,7 @@ class System
     bool
     tracing() const
     {
-        return obs::tracingCompiledIn && tracer_ != nullptr;
+        return tracer_ != nullptr;
     }
 
     /** Track carrying checker @p id's replay spans. */

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "analysis/vuln.hh"
-#include "obs/profiler.hh"
 #include "obs/trace.hh"
 #include "obs/trace_writer.hh"
 #include "power/undervolt_data.hh"
@@ -154,12 +153,6 @@ summarizeRun(core::System &system, core::RunResult result,
 RunOutcome
 runOne(const ExperimentSpec &spec)
 {
-    PARADOX_PROF_SCOPE("run");
-    // The setup phase is scoped with an optional so it closes before
-    // "sim" opens even when construction throws.
-    std::optional<obs::ScopedPhase> setup_phase;
-    setup_phase.emplace("setup");
-
     const auto &names = workloads::allNames();
     if (std::find(names.begin(), names.end(), spec.workload) ==
         names.end())
@@ -170,44 +163,35 @@ runOne(const ExperimentSpec &spec)
     core::System system(buildConfig(spec), w.program);
     armSystem(system, spec, w.program);
 
-    obs::TraceSink trace;
+    // Built only for a traced run: the sink reserves its whole event
+    // buffer up front.
+    std::optional<obs::TraceSink> trace;
     if (!spec.traceFile.empty()) {
-        if (!obs::tracingCompiledIn)
-            warn("tracing requested but compiled out "
-                 "(PARADOX_TRACING=0); no trace will be written");
-        system.setTracer(&trace, Tick(spec.traceMetricsUs) * ticksPerUs);
+        trace.emplace();
+        system.setTracer(&*trace, Tick(spec.traceMetricsUs) * ticksPerUs);
     }
 
-    setup_phase.reset();
-
-    core::RunResult result;
-    {
-        PARADOX_PROF_SCOPE("sim");
-        result = system.run(spec.limits);
-    }
+    core::RunResult result = system.run(spec.limits);
     RunOutcome out =
         summarizeRun(system, std::move(result), w.expectedResult);
-    if (!spec.traceFile.empty() && obs::tracingCompiledIn) {
-        PARADOX_PROF_SCOPE("trace-write");
+    if (trace) {
         const std::string tool =
             spec.label.empty() ? spec.workload : spec.label;
-        if (!obs::writeChromeJsonFile(trace, spec.traceFile, tool))
+        if (!obs::writeChromeJsonFile(*trace, spec.traceFile, tool))
             throw std::runtime_error("cannot write trace '" +
                                      spec.traceFile + "'");
         const std::string jsonl = obs::traceJsonlPath(spec.traceFile);
-        if (!obs::writeTraceJsonlFile(trace, jsonl, tool))
+        if (!obs::writeTraceJsonlFile(*trace, jsonl, tool))
             throw std::runtime_error("cannot write trace '" + jsonl +
                                      "'");
         out.tracePath = spec.traceFile;
-        if (trace.dropped())
+        if (trace->dropped())
             warn("trace '" + spec.traceFile + "' dropped " +
-                 std::to_string(trace.dropped()) +
+                 std::to_string(trace->dropped()) +
                  " events (buffer full)");
     }
-    if (spec.observe) {
-        PARADOX_PROF_SCOPE("observe");
+    if (spec.observe)
         spec.observe(system, out);
-    }
     return out;
 }
 

@@ -2,11 +2,11 @@
  * @file
  * Host metadata for performance artifacts.
  *
- * Throughput numbers (BENCH_*.json) and host-side profiles
- * (paradox-prof/1) are only comparable within one box and build;
- * stamping CPU model, core count, compiler, flags and git SHA into
- * their headers makes cross-box or cross-build re-measurements
- * distinguishable instead of silently misleading.
+ * Host-time numbers (perfbench's provenance line, BENCH_perfbench.json)
+ * are only comparable within one box and build; stamping CPU model,
+ * core count, compiler, flags and git SHA next to them makes
+ * cross-box or cross-build re-measurements distinguishable instead of
+ * silently misleading.
  */
 
 #ifndef PARADOX_OBS_HOSTINFO_HH
@@ -35,7 +35,7 @@ const HostInfo &hostInfo();
 /**
  * The host fields as a JSON fragment (no surrounding braces):
  * `"cpu":"...","cores":N,"compiler":"...","flags":"...","git":"..."`
- * -- spliced into paradox-bench/1 and paradox-prof/1 headers.
+ * -- spliced into perfbench's provenance line.
  */
 std::string hostJsonFields();
 

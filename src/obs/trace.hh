@@ -11,14 +11,9 @@
  * the versioned `paradox-trace/1` JSONL consumed by trace_report and
  * the tests).
  *
- * Two off-switches keep the simulator's hot loop clean:
- *
- *  - compile time: building with -DPARADOX_TRACING=0 turns
- *    tracingCompiledIn into a constant false, so every instrumented
- *    `if (tracing())` block folds away;
- *
- *  - run time: no sink installed (the default) or a disabled sink
- *    means the hooks reduce to one pointer test.
+ * The simulator's hot loop stays clean at run time: with no sink
+ * installed (the default) or a disabled sink, every hook reduces to
+ * one pointer test.
  *
  * Event names and details are interned `const char *` pointers to
  * string literals: recording never copies or hashes a string.  The
@@ -35,17 +30,10 @@
 
 #include "sim/types.hh"
 
-#ifndef PARADOX_TRACING
-#define PARADOX_TRACING 1
-#endif
-
 namespace paradox
 {
 namespace obs
 {
-
-/** True when the tracing hooks were compiled in. */
-constexpr bool tracingCompiledIn = PARADOX_TRACING != 0;
 
 /** Index into the sink's track table. */
 using TrackId = std::uint16_t;

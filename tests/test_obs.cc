@@ -10,11 +10,9 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "core/system.hh"
 #include "obs/metrics.hh"
-#include "obs/profiler.hh"
 #include "obs/trace.hh"
 #include "obs/trace_reader.hh"
 #include "obs/trace_writer.hh"
@@ -306,8 +304,6 @@ tracedRunJsonl(double fault_rate)
 
 TEST(SystemTracing, EmitsSegmentLifecycleSpans)
 {
-    if (!obs::tracingCompiledIn)
-        GTEST_SKIP() << "built with PARADOX_TRACING=0";
     std::istringstream is(tracedRunJsonl(1e-4));
     obs::ParsedTrace parsed;
     std::string error;
@@ -343,150 +339,8 @@ TEST(SystemTracing, EmitsSegmentLifecycleSpans)
 
 TEST(SystemTracing, DeterministicAcrossIdenticalRuns)
 {
-    if (!obs::tracingCompiledIn)
-        GTEST_SKIP() << "built with PARADOX_TRACING=0";
     EXPECT_EQ(tracedRunJsonl(1e-4), tracedRunJsonl(1e-4));
     EXPECT_EQ(tracedRunJsonl(0.0), tracedRunJsonl(0.0));
-}
-
-const obs::ProfPhase *
-findPhase(const std::vector<obs::ProfPhase> &phases,
-          const std::string &path)
-{
-    for (const obs::ProfPhase &p : phases)
-        if (p.path == path)
-            return &p;
-    return nullptr;
-}
-
-TEST(Profiler, NestingBuildsTree)
-{
-    if (!obs::profilingCompiledIn)
-        GTEST_SKIP() << "built with PARADOX_PROFILING=0";
-    obs::Profiler::reset();
-    obs::Profiler::setEnabled(true);
-    {
-        PARADOX_PROF_SCOPE("outer");
-        for (int i = 0; i < 3; ++i) {
-            PARADOX_PROF_SCOPE("inner");
-        }
-    }
-    obs::Profiler::setEnabled(false);
-
-    std::vector<obs::ProfPhase> phases = obs::Profiler::snapshot();
-    const obs::ProfPhase *outer = findPhase(phases, "outer");
-    const obs::ProfPhase *inner = findPhase(phases, "outer/inner");
-    ASSERT_NE(outer, nullptr);
-    ASSERT_NE(inner, nullptr);
-    EXPECT_EQ(outer->depth, 0u);
-    EXPECT_EQ(inner->depth, 1u);
-    EXPECT_EQ(outer->count, 1u);
-    EXPECT_EQ(inner->count, 3u);
-    EXPECT_EQ(inner->name, "inner");
-    // Inclusive time covers the children; self excludes them.
-    EXPECT_GE(outer->totalNs, inner->totalNs);
-    EXPECT_EQ(outer->selfNs, outer->totalNs - inner->totalNs);
-    EXPECT_EQ(inner->selfNs, inner->totalNs);
-    EXPECT_EQ(obs::Profiler::rootTotalNs(phases), outer->totalNs);
-    obs::Profiler::reset();
-}
-
-TEST(Profiler, ThreadsMergeByPath)
-{
-    if (!obs::profilingCompiledIn)
-        GTEST_SKIP() << "built with PARADOX_PROFILING=0";
-    obs::Profiler::reset();
-    obs::Profiler::setEnabled(true);
-    auto work = [] {
-        for (int i = 0; i < 5; ++i) {
-            PARADOX_PROF_SCOPE("worker");
-        }
-    };
-    std::thread a(work), b(work);
-    a.join();
-    b.join();
-    obs::Profiler::setEnabled(false);
-
-    // Both workers' trees survive their threads and merge by path.
-    std::vector<obs::ProfPhase> phases = obs::Profiler::snapshot();
-    const obs::ProfPhase *worker = findPhase(phases, "worker");
-    ASSERT_NE(worker, nullptr);
-    EXPECT_EQ(worker->count, 10u);
-    EXPECT_GE(obs::Profiler::threadCount(), 2u);
-    obs::Profiler::reset();
-}
-
-TEST(Profiler, DisabledRecordsNothing)
-{
-    obs::Profiler::reset();
-    obs::Profiler::setEnabled(false);
-    {
-        PARADOX_PROF_SCOPE("ghost");
-    }
-    EXPECT_TRUE(obs::Profiler::snapshot().empty());
-    EXPECT_EQ(obs::Profiler::rootTotalNs({}), 0u);
-}
-
-TEST(Profiler, JsonlRoundTrip)
-{
-    if (!obs::profilingCompiledIn)
-        GTEST_SKIP() << "built with PARADOX_PROFILING=0";
-    obs::Profiler::reset();
-    obs::Profiler::setEnabled(true);
-    {
-        PARADOX_PROF_SCOPE("run");
-        {
-            PARADOX_PROF_SCOPE("sim");
-        }
-    }
-    obs::Profiler::setEnabled(false);
-    std::vector<obs::ProfPhase> phases = obs::Profiler::snapshot();
-    ASSERT_EQ(phases.size(), 2u);
-
-    obs::ProfMeta meta;
-    meta.tool = "test_obs";
-    meta.workload = "bitcount";
-    meta.simInstructions = 123456;
-    meta.wallNs = obs::Profiler::rootTotalNs(phases) + 1000;
-    std::ostringstream os;
-    ASSERT_TRUE(obs::writeProfJsonl(os, phases, meta));
-
-    std::istringstream is(os.str());
-    obs::ParsedProf parsed;
-    std::string error;
-    ASSERT_TRUE(obs::readProfJsonl(is, parsed, error)) << error;
-    EXPECT_EQ(parsed.tool, "test_obs");
-    EXPECT_EQ(parsed.workload, "bitcount");
-    EXPECT_EQ(parsed.simInstructions, 123456u);
-    EXPECT_EQ(parsed.wallNs, meta.wallNs);
-    EXPECT_EQ(parsed.rootTotalNs,
-              obs::Profiler::rootTotalNs(phases));
-    ASSERT_EQ(parsed.phases.size(), 2u);
-    EXPECT_EQ(parsed.phases[0].path, phases[0].path);
-    EXPECT_EQ(parsed.phases[0].count, phases[0].count);
-    EXPECT_EQ(parsed.phases[0].totalNs, phases[0].totalNs);
-    EXPECT_EQ(parsed.phases[0].selfNs, phases[0].selfNs);
-    EXPECT_EQ(parsed.phases[1].path, phases[1].path);
-    EXPECT_EQ(parsed.phases[1].depth, 1u);
-    obs::Profiler::reset();
-}
-
-TEST(ProfReader, RejectsBadSchemaAndMissingHeader)
-{
-    obs::ParsedProf parsed;
-    std::string error;
-
-    std::istringstream bad_schema(
-        "{\"record\":\"header\",\"schema\":\"paradox-prof/999\"}\n");
-    EXPECT_FALSE(obs::readProfJsonl(bad_schema, parsed, error));
-    EXPECT_NE(error.find("schema"), std::string::npos);
-
-    std::istringstream no_header(
-        "{\"record\":\"phase\",\"path\":\"x\",\"total_ns\":1}\n");
-    EXPECT_FALSE(obs::readProfJsonl(no_header, parsed, error));
-
-    std::istringstream empty("");
-    EXPECT_FALSE(obs::readProfJsonl(empty, parsed, error));
 }
 
 /** Value printed on the dump line that starts with @p name. */
@@ -562,8 +416,6 @@ TEST(SystemStats, RegistryJsonDumpIsFlatObject)
 
 TEST(SystemTracing, SamplerSourcesCountersFromRegistry)
 {
-    if (!obs::tracingCompiledIn)
-        GTEST_SKIP() << "built with PARADOX_TRACING=0";
     std::istringstream is(tracedRunJsonl(0.0));
     obs::ParsedTrace parsed;
     std::string error;
