@@ -926,21 +926,5 @@ IntervalAnalysis::run(const isa::Program &prog, const Cfg &cfg,
     return ai;
 }
 
-std::uint64_t
-IntervalAnalysis::tripProduct(std::size_t block) const
-{
-    I128 product = 1;
-    for (const Loop &l : loops_) {
-        if (block >= l.inBody.size() || !l.inBody[block])
-            continue;
-        if (!l.bounded())
-            return unboundedTrips;
-        product *= I128(l.tripBound);
-        if (product > I128(kTripCap))
-            product = I128(kTripCap);
-    }
-    return std::uint64_t(product);
-}
-
 } // namespace analysis
 } // namespace paradox

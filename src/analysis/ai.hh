@@ -121,17 +121,9 @@ class IntervalAnalysis
     std::size_t sweeps() const { return sweeps_; }
 
     /**
-     * Product of the trip bounds of every loop containing @p block,
-     * i.e. an upper bound on the block's executions -- valid only
-     * when the CFG is reducible(); unboundedTrips if any containing
-     * loop is unbounded.  Saturates below overflow.
-     */
-    std::uint64_t tripProduct(std::size_t block) const;
-
-    /**
-     * True when every back edge's header dominates its tail.  The
-     * multiplicative per-block execution bound (tripProduct) is only
-     * sound for such CFGs; irreducible graphs get no dynamic bound.
+     * True when every back edge's header dominates its tail.  Trip
+     * bounds are inferred only for such CFGs; in an irreducible graph
+     * every loop stays unbounded.
      */
     bool reducible() const { return reducible_; }
 

@@ -3,17 +3,17 @@
  * Decoded-image consistency pass ("decoded").
  *
  * The production engine executes the pre-decoded micro-op image
- * (isa::DecodedProgram), and the static cost model's paradox-cost/1
- * bounds are derived from the CFG over the same program.  Superblock
- * execution retires straight-line runs without re-checking control
- * flow, so the two representations must agree: every resolved branch
- * target has to land on a CFG block leader along a CFG edge, every
- * run length has to stop at the next control transfer, and the
- * per-class instruction counts the cost model consumes have to match
- * an independent walk of the instruction words.  This pass
- * re-derives all three from isa::InstInfo and the CFG and reports
- * any drift as an error, so a decode bug fails `isa_lint --all
- * --Werror` in CI instead of silently invalidating the cost bounds.
+ * (isa::DecodedProgram), while the static analyses (the memdep
+ * effect summaries the commit gate admits batches under) reason over
+ * the CFG of the same program.  Superblock execution retires
+ * straight-line runs without re-checking control flow, so the two
+ * representations must agree: the image must hold one micro-op per
+ * instruction, every run length has to stop at the next control
+ * transfer, and every resolved branch target has to land on a CFG
+ * block leader along a CFG edge.  This pass re-derives all three from
+ * isa::InstInfo and the CFG and reports any drift as an error, so a
+ * decode bug fails `isa_lint --all --Werror` instead of silently
+ * breaking superblock execution.
  */
 
 #include "analysis/passes.hh"
@@ -60,12 +60,8 @@ checkDecoded(const Context &ctx, std::vector<Diagnostic> &diags)
             runLen[i] = runLen[i + 1] + 1;
     }
 
-    std::vector<std::uint64_t> classCounts(
-        unsigned(isa::InstClass::NumClasses), 0);
-
     for (std::size_t i = 0; i < n; ++i) {
         const isa::MicroOp &u = dp->at(i);
-        ++classCounts[unsigned(code[i].info().cls)];
 
         if (u.runLen != runLen[i])
             diags.push_back(
@@ -98,20 +94,6 @@ checkDecoded(const Context &ctx, std::vector<Diagnostic> &diags)
                  "resolved branch target " + std::to_string(target) +
                      " is not a CFG successor block leader"});
     }
-
-    // The per-class counts the cost model consumes must match an
-    // independent count over the instruction words.
-    const std::vector<std::uint64_t> decodedCounts = dp->classCounts();
-    for (unsigned k = 0; k < unsigned(isa::InstClass::NumClasses); ++k)
-        if (decodedCounts[k] != classCounts[k]) {
-            diags.push_back(
-                {Severity::Error, "decoded", "decoded-mix",
-                 Diagnostic::noIndex, "", "",
-                 std::string("decoded class count for ") +
-                     isa::className(isa::InstClass(k)) + " is " +
-                     std::to_string(decodedCounts[k]) + ", expected " +
-                     std::to_string(classCounts[k])});
-        }
 }
 
 } // namespace analysis

@@ -121,9 +121,9 @@ void checkRanges(const Context &ctx, const IntervalAnalysis &ai,
 /**
  * Decoded-image consistency: the pre-decoded micro-op image
  * (isa::DecodedProgram) must agree with the CFG and the instruction
- * table -- resolved branch targets on CFG edges, superblock run
- * lengths stopping at control transfers, and the per-class counts
- * the cost model consumes matching an independent instruction walk.
+ * table -- one micro-op per instruction, resolved branch targets on
+ * CFG edges, and superblock run lengths stopping at control
+ * transfers.
  */
 void checkDecoded(const Context &ctx, std::vector<Diagnostic> &diags);
 

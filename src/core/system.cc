@@ -514,8 +514,8 @@ System::closeSegmentAndDispatch()
     if (tracing()) {
         traceEndFill(mainCore_->now());
         // Committed-instruction count of the segment just closed;
-        // `trace_report --cost` sums these to cross-validate the
-        // static min/max dynamic-instruction bounds.
+        // `trace_report --memdep` bounds the segment's log bytes by
+        // it times the static per-op worst case.
         tracer_->instant(trSegments_, "seg-insts", mainCore_->now(),
                          nullptr, double(instsInSegment_),
                          filling_->id());

@@ -110,16 +110,6 @@ DecodedProgram::DecodedProgram(const Program &prog)
     }
 }
 
-std::vector<std::uint64_t>
-DecodedProgram::classCounts() const
-{
-    std::vector<std::uint64_t> counts(
-        unsigned(InstClass::NumClasses), 0);
-    for (const MicroOp &u : uops_)
-        ++counts[unsigned(u.cls)];
-    return counts;
-}
-
 std::shared_ptr<const DecodedProgram>
 DecodedProgram::get(const Program &prog)
 {

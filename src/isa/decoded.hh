@@ -17,7 +17,7 @@
  * Superblock run lengths are derived from the same control-transfer
  * boundaries the CFG in src/analysis/ computes; isa_lint
  * cross-checks the two so decoded execution cannot drift from the
- * static paradox-cost/1 bounds.
+ * control flow the static analyses reason over.
  */
 
 #ifndef PARADOX_ISA_DECODED_HH
@@ -109,9 +109,6 @@ class DecodedProgram
 
     /** FNV-1a hash of the instruction words (cache validation). */
     std::uint64_t contentHash() const { return hash_; }
-
-    /** Dynamic instruction classes, counted over the decoded image. */
-    std::vector<std::uint64_t> classCounts() const;
 
   private:
     const Program &prog_;

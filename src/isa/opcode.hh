@@ -244,8 +244,8 @@ instInfo(Opcode op)
 }
 
 /**
- * Checker-core execute cycles of one instruction of @p cls, shared by
- * the checker timing model and the static cost model.
+ * Checker-core execute cycles of one instruction of @p cls, as the
+ * checker timing model (cpu::CheckerTiming) charges them.
  */
 constexpr unsigned
 checkerExecCycles(InstClass cls)

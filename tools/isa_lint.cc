@@ -15,23 +15,21 @@
  *   isa_lint --all --scale 4        # lint at benchmark scale
  *   isa_lint --all --ranges         # interval ranges + trip bounds
  *   isa_lint --all --stats          # per-pass counts and timings
- *   isa_lint --all --ranges --cost --json   # paradox-cost/1 JSONL
  *   isa_lint --all --vuln --json            # paradox-vuln/1 JSONL
  *   isa_lint --all --vuln --chip-seed 101 --json  # + cell verdicts
  *   isa_lint --all --memdep --json          # paradox-memdep/1 JSONL
  *
- * --cost replaces the lint reports on stdout with the static
- * segment-cost model (one record per workload; JSONL under --json);
- * lint still runs and failing workloads print their report to
- * stderr, so the cost stream stays machine-parsable.  --vuln does
- * the same with the static fault-vulnerability model (live-bit/ACE
- * masks; implies --ranges so interval facts prune provably-masked
- * ranges); --chip-seed additionally emits per-weak-cell verdicts for
- * that chip's fault map.  --memdep emits the memory-dependence /
- * effect-summary model: per-run load/store counts, worst-case
- * log-byte bounds, and the alias-oracle pair census, stamped with
- * the decoded content hash so `trace_report --memdep` can reject a
- * stale model.
+ * --vuln replaces the lint reports on stdout with the static
+ * fault-vulnerability model (live-bit/ACE masks, one record per
+ * workload; JSONL under --json; implies --ranges so interval facts
+ * prune provably-masked ranges); lint still runs and failing
+ * workloads print their report to stderr, so the model stream stays
+ * machine-parsable.  --chip-seed additionally emits per-weak-cell
+ * verdicts for that chip's fault map.  --memdep does the same with
+ * the memory-dependence / effect-summary model: per-run load/store
+ * counts, worst-case log-byte bounds, and the alias-oracle pair
+ * census, stamped with the decoded content hash so `trace_report
+ * --memdep` can reject a stale model.
  *
  * Exit status: 0 when every linted program is clean, 1 when any
  * program has an error-severity diagnostic (or any warning under
@@ -44,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/costmodel.hh"
 #include "analysis/linter.hh"
 #include "analysis/memdep.hh"
 #include "analysis/vuln.hh"
@@ -63,7 +60,7 @@ main(int argc, char **argv)
     using namespace paradox;
 
     bool all = false, json = false, werror = false, list = false;
-    bool ranges = false, cost = false, stats = false, vuln = false;
+    bool ranges = false, stats = false, vuln = false;
     bool memdep = false;
     unsigned scale = 1;
     std::uint64_t chipSeed = 0;
@@ -80,9 +77,6 @@ main(int argc, char **argv)
              "run the interval abstract interpretation: range-based "
              "footprint checks, dead branches, div/shift ranges, "
              "loop trip bounds");
-    cli.flag("cost", cost,
-             "emit the static segment-cost model instead of lint "
-             "reports (implies --ranges)");
     cli.flag("stats", stats,
              "append per-pass diagnostic counts and wall-clock "
              "timings to text reports");
@@ -134,14 +128,13 @@ main(int argc, char **argv)
                      "(pass names, --all, or --list)\n");
         return 2;
     }
-    if (int(vuln) + int(cost) + int(memdep) > 1) {
+    if (vuln && memdep) {
         std::fprintf(stderr,
-                     "isa_lint: --vuln, --cost and --memdep are "
-                     "mutually exclusive (one model stream per "
-                     "run)\n");
+                     "isa_lint: --vuln and --memdep are mutually "
+                     "exclusive (one model stream per run)\n");
         return 2;
     }
-    if (cost || vuln || memdep)
+    if (vuln || memdep)
         ranges = true;
 
     // Every workload stores its checksum to the ABI result cell,
@@ -157,13 +150,8 @@ main(int argc, char **argv)
     opts.memdep = ranges;
     const analysis::Linter linter(opts);
 
-    analysis::CostParams cparams;
-    cparams.extraRegions = opts.extraRegions;
-
     bool failed = false;
     std::size_t totalErrors = 0, totalWarnings = 0;
-    if (cost && json)
-        std::printf("%s\n", analysis::costJsonHeader().c_str());
     if (vuln && json)
         std::printf("%s\n", analysis::vulnJsonHeader().c_str());
     if (memdep && json)
@@ -189,35 +177,6 @@ main(int argc, char **argv)
         totalWarnings += report.warnings();
         if (!report.clean(werror))
             failed = true;
-
-        if (cost) {
-            if (!report.clean(werror))
-                std::fputs(report.toText(stats).c_str(), stderr);
-            if (!built)
-                continue;
-            const analysis::WorkloadCost c =
-                analysis::CostModel::compute(w.program, cparams);
-            if (json) {
-                std::printf("%s\n",
-                            analysis::costJsonLine(c, scale).c_str());
-            } else {
-                std::printf(
-                    "%s: %s, %llu loop(s) (%llu bounded), insts in "
-                    "[%llu, %llu], footprint %llu B, CPI %.2f, "
-                    "<=%llu segment(s), <=%llu checker cycle(s)\n",
-                    c.program.c_str(),
-                    c.bounded ? "bounded" : "unbounded",
-                    (unsigned long long)c.loops,
-                    (unsigned long long)c.boundedLoops,
-                    (unsigned long long)c.minDynInsts,
-                    (unsigned long long)c.maxDynInsts,
-                    (unsigned long long)c.footprintBytes,
-                    c.cyclesPerInst,
-                    (unsigned long long)c.predictedSegments,
-                    (unsigned long long)c.checkerCyclesTotal);
-            }
-            continue;
-        }
 
         if (vuln) {
             if (!report.clean(werror))
@@ -327,7 +286,7 @@ main(int argc, char **argv)
             std::fputs(report.toText(stats).c_str(), stdout);
     }
 
-    if (!json && !cost && !vuln && !memdep)
+    if (!json && !vuln && !memdep)
         std::printf("%zu workload(s): %zu error(s), %zu warning(s)%s\n",
                     names.size(), totalErrors, totalWarnings,
                     werror ? " [-Werror]" : "");

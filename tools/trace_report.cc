@@ -15,36 +15,30 @@
  *     than --burst-gap-us, the signature of an intermittent or
  *     latched fault source
  *
- * --cost COST.jsonl additionally cross-validates each trace against
- * the static segment-cost model (`isa_lint --ranges --cost --json`):
- * the summed "seg-insts" instants of a complete fault-free run must
- * land inside the model's [min_dyn_insts, max_dyn_insts] bounds.
- * Traces containing fault or recovery events are skipped (replayed
- * instructions would be double-counted); a bound violation makes the
- * exit status non-zero -- either the workload changed without
- * re-emitting the model, or the abstract interpretation is unsound.
- *
  * --memdep MEMDEP.jsonl cross-validates each fault-free trace
  * against the static memory-dependence model (`isa_lint --memdep
  * --json`): every segment's actual logged bytes ("seg-log-bytes")
  * must stay within the static bound the superblock gate admitted it
- * under ("seg-bound-bytes") and within committed-insts times the
- * model's per-op worst case.  The decoded-hash staleness gate is
- * shared with --cost.
+ * under ("seg-bound-bytes") and within its committed instructions
+ * ("seg-insts") times the model's per-op worst case.  A model whose
+ * decoded hash does not match a fresh decode of the workload is
+ * rejected as stale.  Traces containing fault or recovery events are
+ * skipped (a rolled-back segment's byte instants describe work that
+ * was undone).
  *
  * --json emits the same analysis as a single machine-readable JSON
  * object instead.  Exit status 0 iff every input parsed and no
- * static cost/memdep bound was violated; 1 on a violation or
- * unreadable trace; 2 on usage errors; 3 when a --cost/--memdep
- * model itself is unreadable or garbled (distinct so CI can tell
- * "the model is wrong" from "the model could not be loaded").
+ * static memdep bound was violated; 1 on a violation or unreadable
+ * trace; 2 on usage errors; 3 when the --memdep model itself is
+ * unreadable or garbled (distinct so a gate can tell "the model is
+ * wrong" from "the model could not be loaded").
  *
  * --jobs N analyzes the input traces on N worker threads.  Results
  * are buffered and emitted in input order, so the report is
  * byte-identical at any job count (CI cmp-gates this).
  *
- *   trace_report [--json] [--burst-gap-us N] [--cost COST.jsonl]
- *                [--memdep MEMDEP.jsonl] [--jobs N] FILE.jsonl ...
+ *   trace_report [--json] [--burst-gap-us N] [--memdep MEMDEP.jsonl]
+ *                [--jobs N] FILE.jsonl ...
  */
 
 #include <algorithm>
@@ -134,184 +128,14 @@ struct Analysis
     std::vector<Burst> bursts;
     Tick span = 0;  //!< last event timestamp
 
-    /** @{ Static-cost cross-validation inputs. */
-    std::uint64_t segInsts = 0;   //!< summed "seg-insts" values
-    std::uint64_t segments = 0;   //!< number of "seg-insts" instants
-    bool faulty = false;          //!< any fault/recovery event seen
-    /** @} */
+    bool faulty = false;  //!< any fault/recovery event seen
 
     /** @{ Memdep cross-validation inputs, in segment order. */
-    std::vector<std::uint64_t> segInstsVec;   //!< "seg-insts"
+    std::vector<std::uint64_t> segInsts;      //!< "seg-insts"
     std::vector<std::uint64_t> segLogBytes;   //!< "seg-log-bytes"
     std::vector<std::uint64_t> segBoundBytes; //!< "seg-bound-bytes"
     /** @} */
 };
-
-/** One paradox-cost/1 record, keyed by program name. */
-struct CostRec
-{
-    std::uint64_t minDyn = 0;
-    std::uint64_t maxDyn = 0;
-    bool bounded = false;
-    std::uint64_t scale = 1;
-    /** @{ Decoded-image identity the model's mix was counted over
-     *  (0 when the record predates decoded_uops/decoded_hash). */
-    std::uint64_t decodedUops = 0;
-    std::uint64_t decodedHash = 0;
-    /** @} */
-};
-
-/** Outcome of checking one trace against the cost model. */
-struct CostCheck
-{
-    bool attempted = false;  //!< a matching cost record existed
-    bool skipped = false;    //!< trace had faults or no seg-insts
-    std::string skipReason;
-    bool ok = true;          //!< bounds held (when not skipped)
-    /** @{ Decoded-image verification: the record's decoded identity
-     *  vs a fresh decode of the workload at the record's scale. */
-    bool decodedChecked = false;
-    bool decodedOk = true;
-    std::string decodedNote;
-    /** @} */
-    CostRec rec;
-};
-
-bool
-loadCostModel(const std::string &path,
-              std::map<std::string, CostRec> &out, std::string &error)
-{
-    std::ifstream is(path);
-    if (!is) {
-        error = "cannot open " + path;
-        return false;
-    }
-    std::string line, v;
-    bool sawHeader = false;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        if (obs::jsonField(line, "schema", v)) {
-            if (v != "paradox-cost/1") {
-                error = path + ": unsupported schema '" + v + "'";
-                return false;
-            }
-            sawHeader = true;
-            continue;
-        }
-        if (!obs::jsonField(line, "record", v) || v != "cost")
-            continue;
-        std::string prog;
-        if (!obs::jsonField(line, "program", prog) || prog.empty()) {
-            error = path + ": cost record without a program name";
-            return false;
-        }
-        CostRec rec;
-        // A record that lost its bound fields (truncated write,
-        // hand-edited file) must fail loudly: silently defaulting
-        // the bounds to zero would turn every trace into a
-        // "violation" of a model that was never computed.
-        if (!obs::jsonField(line, "min_dyn_insts", v)) {
-            error = path + ": garbled cost record for '" + prog +
-                    "' (missing min_dyn_insts)";
-            return false;
-        }
-        rec.minDyn = std::strtoull(v.c_str(), nullptr, 10);
-        if (!obs::jsonField(line, "max_dyn_insts", v)) {
-            error = path + ": garbled cost record for '" + prog +
-                    "' (missing max_dyn_insts)";
-            return false;
-        }
-        rec.maxDyn = std::strtoull(v.c_str(), nullptr, 10);
-        if (obs::jsonField(line, "bounded", v))
-            rec.bounded = v == "1" || v == "true";
-        // max_dyn_insts is only computed for a bounded program; an
-        // unbounded one carries 0 there.
-        if (rec.bounded && rec.maxDyn < rec.minDyn) {
-            error = path + ": garbled cost record for '" + prog +
-                    "' (max_dyn_insts < min_dyn_insts)";
-            return false;
-        }
-        if (obs::jsonField(line, "scale", v))
-            rec.scale = std::strtoull(v.c_str(), nullptr, 10);
-        if (obs::jsonField(line, "decoded_uops", v))
-            rec.decodedUops = std::strtoull(v.c_str(), nullptr, 10);
-        if (obs::jsonField(line, "decoded_hash", v))
-            rec.decodedHash = std::strtoull(v.c_str(), nullptr, 10);
-        out[prog] = rec;
-    }
-    if (!sawHeader || out.empty()) {
-        error = path + ": no paradox-cost/1 records "
-                "(expected `isa_lint --ranges --cost --json` output)";
-        return false;
-    }
-    return true;
-}
-
-/**
- * Check one analyzed trace against the model.  Only complete
- * fault-free runs are comparable: any injection, detection, retry,
- * rollback, or watchdog event means instructions were re-executed
- * (or the run was cut short), so the seg-insts sum no longer counts
- * each committed instruction exactly once.
- */
-CostCheck
-checkCost(const Analysis &a,
-          const std::map<std::string, CostRec> &model)
-{
-    CostCheck c;
-    auto it = model.find(a.trace.tool);
-    if (it == model.end())
-        return c;
-    c.attempted = true;
-    c.rec = it->second;
-
-    // Verify the decoded-image identity the cost record was counted
-    // over against a fresh decode of the same workload at the
-    // record's scale: a stale cost file (the workload changed after
-    // `isa_lint --cost` ran) must fail loudly, not slip a wrong
-    // bound past the seg-insts comparison below.
-    if (c.rec.decodedUops != 0) {
-        c.decodedChecked = true;
-        try {
-            const workloads::Workload w =
-                workloads::build(a.trace.tool,
-                                 unsigned(c.rec.scale));
-            const auto dp = isa::DecodedProgram::get(w.program);
-            if (dp->size() != c.rec.decodedUops ||
-                dp->contentHash() != c.rec.decodedHash) {
-                c.decodedOk = false;
-                c.ok = false;
-                c.decodedNote =
-                    "cost record decode (" +
-                    std::to_string(c.rec.decodedUops) +
-                    " uops) does not match the current workload (" +
-                    std::to_string(dp->size()) +
-                    " uops) -- stale cost file?";
-            }
-        } catch (const std::exception &e) {
-            // Not a registered workload (custom tool name): nothing
-            // to re-decode against.
-            c.decodedChecked = false;
-        }
-    }
-
-    if (a.faulty) {
-        c.skipped = true;
-        c.skipReason = "trace contains fault/recovery events";
-        return c;
-    }
-    if (a.segments == 0) {
-        c.skipped = true;
-        c.skipReason = "trace has no seg-insts events";
-        return c;
-    }
-    if (a.segInsts < c.rec.minDyn)
-        c.ok = false;
-    if (c.rec.bounded && a.segInsts > c.rec.maxDyn)
-        c.ok = false;
-    return c;
-}
 
 /** One paradox-memdep/1 record, keyed by program name. */
 struct MemdepRec
@@ -332,7 +156,7 @@ struct MemdepCheck
     bool ok = true;          //!< all per-segment bounds held
     std::size_t segsChecked = 0;
     std::size_t violations = 0;
-    /** @{ Decoded-image staleness gate (same pattern as --cost). */
+    /** @{ Decoded-image staleness gate. */
     bool decodedChecked = false;
     bool decodedOk = true;
     std::string decodedNote;
@@ -463,9 +287,9 @@ checkMemdep(const Analysis &a,
         if (i < a.segBoundBytes.size() &&
             a.segLogBytes[i] > a.segBoundBytes[i])
             bad = true;
-        if (i < a.segInstsVec.size() &&
+        if (i < a.segInsts.size() &&
             a.segLogBytes[i] >
-                a.segInstsVec[i] * c.rec.maxUopBytes)
+                a.segInsts[i] * c.rec.maxUopBytes)
             bad = true;
         if (bad)
             ++c.violations;
@@ -527,11 +351,8 @@ analyze(Analysis &a, Tick burst_gap)
             ++t.instants;
             if (isDetect(e.name))
                 detects.push_back(e.ts);
-            if (e.name == "seg-insts") {
-                a.segInsts += std::uint64_t(e.value);
-                ++a.segments;
-                a.segInstsVec.push_back(std::uint64_t(e.value));
-            }
+            if (e.name == "seg-insts")
+                a.segInsts.push_back(std::uint64_t(e.value));
             if (e.name == "seg-log-bytes")
                 a.segLogBytes.push_back(std::uint64_t(e.value));
             if (e.name == "seg-bound-bytes")
@@ -597,35 +418,6 @@ analyze(Analysis &a, Tick burst_gap)
 }
 
 void
-printCostText(const Analysis &a, const CostCheck &c)
-{
-    std::printf("\ncost cross-validation:\n");
-    if (!c.attempted) {
-        std::printf("  no cost record for tool '%s'\n",
-                    a.trace.tool.c_str());
-        return;
-    }
-    if (c.decodedChecked)
-        std::printf("  decoded image: %llu uop(s), %s\n",
-                    (unsigned long long)c.rec.decodedUops,
-                    c.decodedOk ? "matches current decode"
-                                : c.decodedNote.c_str());
-    if (c.skipped) {
-        std::printf("  skipped: %s\n", c.skipReason.c_str());
-        return;
-    }
-    std::printf("  %llu committed insts over %llu segment(s); "
-                "static bounds [%llu, %s]: %s\n",
-                (unsigned long long)a.segInsts,
-                (unsigned long long)a.segments,
-                (unsigned long long)c.rec.minDyn,
-                c.rec.bounded
-                    ? std::to_string(c.rec.maxDyn).c_str()
-                    : "unbounded",
-                c.ok ? "OK" : "VIOLATED");
-}
-
-void
 printMemdepText(const Analysis &a, const MemdepCheck &c)
 {
     std::printf("\nmemdep cross-validation:\n");
@@ -653,8 +445,7 @@ printMemdepText(const Analysis &a, const MemdepCheck &c)
 }
 
 void
-printText(const Analysis &a, const CostCheck *cost,
-          const MemdepCheck *memdep)
+printText(const Analysis &a, const MemdepCheck *memdep)
 {
     std::printf("== %s ==\n", a.path.c_str());
     std::printf("tool %s, %zu tracks, %zu events, %.3f ms spanned",
@@ -715,8 +506,6 @@ printText(const Analysis &a, const CostCheck *cost,
             std::printf("  %12.3f us  %zu detections in %.2f us\n",
                         usOf(b.start), b.count, usOf(b.end - b.start));
     }
-    if (cost)
-        printCostText(a, *cost);
     if (memdep)
         printMemdepText(a, *memdep);
     std::printf("\n");
@@ -733,8 +522,7 @@ jsonEscapeTo(std::ostringstream &os, const std::string &s)
 }
 
 std::string
-toJson(const Analysis &a, const CostCheck *cost,
-       const MemdepCheck *memdep)
+toJson(const Analysis &a, const MemdepCheck *memdep)
 {
     std::ostringstream os;
     os << "{\"file\":\"";
@@ -805,33 +593,6 @@ toJson(const Analysis &a, const CostCheck *cost,
            << ",\"detections\":" << b.count << "}";
     }
     os << "]";
-    if (cost) {
-        os << ",\"cost\":{\"attempted\":"
-           << (cost->attempted ? "true" : "false");
-        if (cost->attempted) {
-            if (cost->decodedChecked) {
-                os << ",\"decoded_uops\":" << cost->rec.decodedUops
-                   << ",\"decoded_ok\":"
-                   << (cost->decodedOk ? "true" : "false");
-            }
-            os << ",\"skipped\":" << (cost->skipped ? "true" : "false");
-            if (cost->skipped) {
-                os << ",\"skip_reason\":\"";
-                jsonEscapeTo(os, cost->skipReason);
-                os << "\"";
-            } else {
-                os << ",\"seg_insts\":" << a.segInsts
-                   << ",\"segments\":" << a.segments
-                   << ",\"min_dyn_insts\":" << cost->rec.minDyn
-                   << ",\"bounded\":"
-                   << (cost->rec.bounded ? "true" : "false");
-                if (cost->rec.bounded)
-                    os << ",\"max_dyn_insts\":" << cost->rec.maxDyn;
-                os << ",\"ok\":" << (cost->ok ? "true" : "false");
-            }
-        }
-        os << "}";
-    }
     if (memdep) {
         os << ",\"memdep\":{\"attempted\":"
            << (memdep->attempted ? "true" : "false");
@@ -870,15 +631,12 @@ main(int argc, char **argv)
 {
     bool json = false;
     unsigned burst_gap_us = 50;
-    std::string costPath;
     std::string memdepPath;
     exp::Cli cli("trace_report",
                  "summarize paradox-trace/1 execution traces");
     cli.flag("json", json, "emit machine-readable JSON");
     cli.opt("burst-gap-us", burst_gap_us,
             "max gap between detections in one burst");
-    cli.opt("cost", costPath,
-            "paradox-cost/1 JSONL to cross-validate traces against");
     cli.opt("memdep", memdepPath,
             "paradox-memdep/1 JSONL to cross-validate per-segment "
             "log bytes against");
@@ -899,8 +657,8 @@ main(int argc, char **argv)
         }
         if (arg.rfind("-", 0) == 0) {
             flags.push_back(arg);
-            if ((arg == "--burst-gap-us" || arg == "--cost" ||
-                 arg == "--memdep" || arg == "--jobs") &&
+            if ((arg == "--burst-gap-us" || arg == "--memdep" ||
+                 arg == "--jobs") &&
                 i + 1 < argc)
                 flags.push_back(argv[++i]);
         } else {
@@ -920,23 +678,13 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::map<std::string, CostRec> costModel;
-    const bool haveCost = !costPath.empty();
-    if (haveCost && !loadCostModel(costPath, costModel, error)) {
-        // Exit 3, distinct from both a bound violation (1) and a
-        // usage error (2): the model could not be used at all, so
-        // nothing was cross-validated.
-        std::fprintf(stderr,
-                     "trace_report: cost model unusable: %s (no "
-                     "traces were checked; this is not a bound "
-                     "violation)\n",
-                     error.c_str());
-        return 3;
-    }
     std::map<std::string, MemdepRec> memdepModel;
     const bool haveMemdep = !memdepPath.empty();
     if (haveMemdep &&
         !loadMemdepModel(memdepPath, memdepModel, error)) {
+        // Exit 3, distinct from both a bound violation (1) and a
+        // usage error (2): the model could not be used at all, so
+        // nothing was cross-validated.
         std::fprintf(stderr,
                      "trace_report: memdep model unusable: %s (no "
                      "traces were checked; this is not a bound "
@@ -946,7 +694,7 @@ main(int argc, char **argv)
     }
 
     // Per-file analysis is independent: read, analyze and
-    // cross-validate on worker threads (the loaded models are
+    // cross-validate on worker threads (the loaded model is
     // read-only), then aggregate and print serially in input order
     // so the report is byte-identical at any --jobs.
     struct FileJob
@@ -954,7 +702,6 @@ main(int argc, char **argv)
         bool readOk = false;
         std::string readError;
         Analysis a;
-        CostCheck check;
         MemdepCheck mdCheck;
     };
     std::vector<FileJob> results(files.size());
@@ -973,8 +720,6 @@ main(int argc, char **argv)
                 if (!job.readOk)
                     continue;
                 analyze(job.a, Tick(burst_gap_us) * ticksPerUs);
-                if (haveCost)
-                    job.check = checkCost(job.a, costModel);
                 if (haveMemdep)
                     job.mdCheck = checkMemdep(job.a, memdepModel);
             }
@@ -992,7 +737,6 @@ main(int argc, char **argv)
 
     bool all_ok = true;
     bool first = true;
-    std::size_t costChecked = 0, costViolated = 0;
     std::size_t memdepChecked = 0, memdepViolated = 0;
     if (json)
         std::printf("[");
@@ -1004,19 +748,6 @@ main(int argc, char **argv)
             continue;
         }
         const Analysis &a = job.a;
-        if (haveCost) {
-            const CostCheck &check = job.check;
-            if (check.attempted && check.decodedChecked &&
-                !check.decodedOk)
-                all_ok = false;
-            if (check.attempted && !check.skipped) {
-                ++costChecked;
-                if (!check.ok) {
-                    ++costViolated;
-                    all_ok = false;
-                }
-            }
-        }
         if (haveMemdep) {
             const MemdepCheck &mdCheck = job.mdCheck;
             if (mdCheck.attempted && mdCheck.decodedChecked &&
@@ -1032,21 +763,15 @@ main(int argc, char **argv)
         }
         if (json) {
             std::printf("%s%s", first ? "" : ",\n",
-                        toJson(a, haveCost ? &job.check : nullptr,
-                               haveMemdep ? &job.mdCheck : nullptr)
+                        toJson(a, haveMemdep ? &job.mdCheck : nullptr)
                             .c_str());
             first = false;
         } else {
-            printText(a, haveCost ? &job.check : nullptr,
-                      haveMemdep ? &job.mdCheck : nullptr);
+            printText(a, haveMemdep ? &job.mdCheck : nullptr);
         }
     }
     if (json)
         std::printf("]\n");
-    if (haveCost)
-        std::fprintf(stderr,
-                     "trace_report: cost model: %zu trace(s) checked, "
-                     "%zu violation(s)\n", costChecked, costViolated);
     if (haveMemdep)
         std::fprintf(stderr,
                      "trace_report: memdep model: %zu trace(s) "
