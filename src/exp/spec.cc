@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -11,7 +13,6 @@
 #include "obs/trace_writer.hh"
 #include "power/undervolt_data.hh"
 #include "sim/logging.hh"
-#include "workloads/workload.hh"
 
 namespace paradox
 {
@@ -150,16 +151,40 @@ summarizeRun(core::System &system, core::RunResult result,
     return out;
 }
 
+const WorkloadImage &
+workloadImage(const std::string &name, unsigned scale)
+{
+    const auto &names = workloads::allNames();
+    if (std::find(names.begin(), names.end(), name) == names.end())
+        throw std::invalid_argument("unknown workload '" + name + "'");
+    const std::pair<std::string, unsigned> key(name,
+                                               std::max(scale, 1u));
+
+    static std::mutex mu;
+    static std::map<std::pair<std::string, unsigned>,
+                    std::unique_ptr<const WorkloadImage>>
+        images;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = images.find(key);
+        if (it != images.end())
+            return *it->second;
+    }
+    // Built unlocked, so a fork (runIsolated) never inherits the
+    // lock held across a build.  Threads racing on one key each
+    // build; the first insert wins and the rest are dropped.
+    auto image = std::make_unique<WorkloadImage>();
+    image->workload = workloads::build(key.first, key.second);
+    image->decoded = isa::DecodedProgram::get(image->workload.program);
+    std::lock_guard<std::mutex> lock(mu);
+    return *images.try_emplace(key, std::move(image)).first->second;
+}
+
 RunOutcome
 runOne(const ExperimentSpec &spec)
 {
-    const auto &names = workloads::allNames();
-    if (std::find(names.begin(), names.end(), spec.workload) ==
-        names.end())
-        throw std::invalid_argument("unknown workload '" +
-                                    spec.workload + "'");
-
-    workloads::Workload w = workloads::build(spec.workload, spec.scale);
+    const workloads::Workload &w =
+        workloadImage(spec.workload, spec.scale).workload;
     core::System system(buildConfig(spec), w.program);
     armSystem(system, spec, w.program);
 

@@ -17,10 +17,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "core/system.hh"
 #include "faults/fault_model.hh"
+#include "isa/decoded.hh"
+#include "workloads/workload.hh"
 
 namespace paradox
 {
@@ -172,7 +175,30 @@ RunOutcome summarizeRun(core::System &system, core::RunResult result,
                         std::uint64_t expected);
 
 /**
- * Execute @p spec to completion and summarize it.
+ * A workload as every run of it in one process shares it: the built
+ * program with its golden checksum, and the program's decode, held
+ * strongly so that each System's isa::DecodedProgram::get finds it
+ * alive.  Never mutated once published.
+ */
+struct WorkloadImage
+{
+    workloads::Workload workload;
+    std::shared_ptr<const isa::DecodedProgram> decoded;
+};
+
+/**
+ * The process-wide image of @p name at @p scale (0 means 1), built
+ * and decoded on first use and kept until the process exits, so the
+ * reference stays valid.  Thread-safe.  Throws std::invalid_argument
+ * for an unknown workload.  workloads::build still gives a private
+ * copy.
+ */
+const WorkloadImage &workloadImage(const std::string &name,
+                                   unsigned scale);
+
+/**
+ * Execute @p spec to completion and summarize it, over
+ * workloadImage(spec.workload, spec.scale).
  *
  * Throws std::invalid_argument for malformed specs (unknown
  * workload, out-of-range pinned checker) rather than exiting, so a

@@ -26,6 +26,8 @@ SimpleMemory::Page &
 SimpleMemory::touchPage(Addr addr)
 {
     const Addr num = addr / pageBytes;
+    if (num == lastPageNum_ && lastPage_)
+        return *lastPage_;
     auto &slot = pages_[num];
     if (!slot)
         slot = std::make_unique<Page>();

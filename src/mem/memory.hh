@@ -73,7 +73,8 @@ class SimpleMemory : public isa::MemIf
      * compare.  Page storage is node-stable (unique_ptr in a node
      * map) and pages are never deallocated, so a cached pointer can
      * only go stale one way: a page materializing after a null was
-     * memoized -- touchPage refreshes the memo to cover that.
+     * memoized -- touchPage trusts only a non-null memo and refreshes
+     * it to cover that.
      */
     mutable Addr lastPageNum_ = ~Addr(0);
     mutable Page *lastPage_ = nullptr;

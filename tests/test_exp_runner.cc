@@ -2,8 +2,9 @@
  * @file
  * Tests for the parallel experiment runner: parallel execution must
  * be observationally identical to serial execution (per-spec results
- * bit-identical, seeds isolated between jobs), a throwing job must
- * be reported without aborting the batch, the process-isolated
+ * bit-identical, seeds isolated between jobs), a run over the shared
+ * workload image must equal one over a fresh build, a throwing job
+ * must be reported without aborting the batch, the process-isolated
  * backend must contain dying children, and the typed Cli must parse
  * and reject correctly.
  */
@@ -12,6 +13,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -61,6 +63,47 @@ fingerprint(const exp::RunOutcome &o)
     return core::toJson(o.result) + "|" +
            std::to_string(o.finalValue) + "|" +
            (o.correct ? "1" : "0");
+}
+
+/**
+ * Everything a run leaves that the image could reach: the result
+ * record, the stats registry, the final memory and result word.
+ */
+std::string
+runDigest(const core::System &system, const exp::RunOutcome &out)
+{
+    std::ostringstream os;
+    os << core::toJson(out.result) << "|";
+    system.registry().dumpJson(os);
+    os << "|" << out.result.memoryFingerprint << "|" << out.finalValue
+       << "|" << out.correct;
+    return os.str();
+}
+
+/** @p spec through exp::runOne, over the shared image. */
+std::string
+sharedDigest(exp::ExperimentSpec spec)
+{
+    std::string digest;
+    spec.observe = [&digest](core::System &sys, exp::RunOutcome &out) {
+        digest = runDigest(sys, out);
+    };
+    exp::runOne(spec);
+    return digest;
+}
+
+/** @p spec on a System over a private workloads::build image. */
+std::string
+freshDigest(const exp::ExperimentSpec &spec)
+{
+    const workloads::Workload w =
+        workloads::build(spec.workload, spec.scale);
+    core::System system(exp::buildConfig(spec), w.program);
+    exp::armSystem(system, spec, w.program);
+    const exp::RunOutcome out = exp::summarizeRun(
+        system, system.run(spec.limits), w.expectedResult);
+    EXPECT_TRUE(out.correct) << spec.workload;
+    return runDigest(system, out);
 }
 
 TEST(ExpRunner, ParallelMatchesSerial)
@@ -168,6 +211,77 @@ TEST(ExpRunner, ChipSpecsDeterministicAcrossJobCounts)
         EXPECT_EQ(exp::recordJson(specs[i], serial[i]),
                   exp::recordJson(specs[i], parallel[i]))
             << "chip spec " << i << " diverged across job counts";
+    }
+}
+
+TEST(WorkloadImage, SharedRunsMatchFreshBuilds)
+{
+    // The shared image must be indistinguishable from a private
+    // build: a run that mutated it (memory initialisers, code) would
+    // make the second shared run differ from the fresh one.
+    for (const char *name : {"bitcount", "mcf", "gobmk"}) {
+        exp::ExperimentSpec quiet = faultySpec(name, 0.0, 9);
+        exp::ExperimentSpec faulty = faultySpec(name, 1e-4, 9);
+        exp::ExperimentSpec dvfs = faultySpec(name, 0.0, 9);
+        dvfs.dvfs = true;
+        for (const exp::ExperimentSpec &spec : {quiet, faulty, dvfs}) {
+            SCOPED_TRACE(std::string(name) + " rate " +
+                         std::to_string(spec.faultRate) +
+                         (spec.dvfs ? " dvfs" : ""));
+            const std::string fresh = freshDigest(spec);
+            EXPECT_EQ(sharedDigest(spec), fresh);
+            EXPECT_EQ(sharedDigest(spec), fresh);
+        }
+    }
+}
+
+TEST(WorkloadImage, BuiltAndDecodedOncePerKey)
+{
+    const exp::WorkloadImage &a = exp::workloadImage("stream", 1);
+    EXPECT_EQ(&exp::workloadImage("stream", 1), &a);
+    EXPECT_EQ(&exp::workloadImage("stream", 0), &a);
+    // Every System's decode lookup finds the image's decode.
+    ASSERT_TRUE(a.decoded);
+    EXPECT_EQ(isa::DecodedProgram::get(a.workload.program), a.decoded);
+    EXPECT_EQ(&a.decoded->program(), &a.workload.program);
+    exp::runOne(faultySpec("stream", 0.0, 1));
+    EXPECT_EQ(&exp::workloadImage("stream", 1), &a);
+    EXPECT_EQ(isa::DecodedProgram::get(a.workload.program), a.decoded);
+
+    const exp::WorkloadImage &b = exp::workloadImage("stream", 2);
+    EXPECT_NE(&b, &a);
+    EXPECT_NE(b.decoded, a.decoded);
+    EXPECT_EQ(&exp::workloadImage("stream", 2), &b);
+
+    EXPECT_THROW(exp::workloadImage("no-such-workload", 1),
+                 std::invalid_argument);
+}
+
+TEST(WorkloadImage, ParallelFirstUseMatchesSerial)
+{
+    // milc at scale 1 is used by no other case here, so the four
+    // workers race on the image's first build and insert.
+    std::vector<exp::ExperimentSpec> specs;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        specs.push_back(faultySpec("milc", seed % 2 ? 0.0 : 1e-4, seed));
+
+    exp::RunnerOptions par_opt;
+    par_opt.jobs = 4;
+    const std::vector<exp::RunOutcome> parallel =
+        exp::Runner(par_opt).run(specs);
+
+    exp::RunnerOptions serial_opt;
+    serial_opt.jobs = 1;
+    const std::vector<exp::RunOutcome> serial =
+        exp::Runner(serial_opt).run(specs);
+
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        ASSERT_TRUE(parallel[i].ok()) << parallel[i].error;
+        EXPECT_TRUE(parallel[i].correct) << "spec " << i;
+        EXPECT_EQ(exp::recordJson(specs[i], parallel[i]),
+                  exp::recordJson(specs[i], serial[i]))
+            << "spec " << i;
     }
 }
 

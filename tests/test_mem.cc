@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -80,6 +82,75 @@ TEST(SimpleMemory, BlockCopyRoundTrip)
     memory.writeBlock(0x1000, in, 64);
     memory.readBlock(0x1000, out, 64);
     EXPECT_EQ(std::memcmp(in, out, 64), 0);
+}
+
+TEST(SimpleMemory, PageMemoIsExact)
+{
+    // Byte-map model: page number -> page bytes, one entry per page a
+    // write has touched.
+    constexpr Addr page = SimpleMemory::pageBytes;
+    std::map<Addr, std::array<std::uint8_t, page>> model;
+    SimpleMemory memory;
+    auto write = [&](Addr addr, unsigned size, std::uint64_t value) {
+        memory.write(addr, size, value);
+        for (unsigned i = 0; i < size; ++i)
+            model[(addr + i) / page][(addr + i) % page] =
+                std::uint8_t(value >> (8 * i));
+    };
+    auto modelByte = [&](Addr addr) -> std::uint8_t {
+        auto it = model.find(addr / page);
+        return it == model.end() ? 0 : it->second[addr % page];
+    };
+
+    const Addr a = 7 * page, b = 9 * page;
+    // An absent page memoizes null; the write that follows must
+    // materialize it rather than trust the memo.
+    EXPECT_EQ(memory.read(a + 8, 8), 0u);
+    write(a + 8, 8, 0x0102030405060708ULL);
+    EXPECT_EQ(memory.read(a + 8, 8), 0x0102030405060708ULL);
+    // The same again through the byte path.
+    EXPECT_EQ(memory.readByte(b + 1), 0u);
+    memory.writeByte(b + 1, 0x5a);
+    model[b / page][1] = 0x5a;
+    // Across a page boundary, into a page not yet touched.
+    write(a + page - 3, 8, 0x1122334455667788ULL);
+    // Two pages interleaved, every access switching the memo.
+    Rng rng(3);
+    for (unsigned k = 0; k < 512; ++k) {
+        const Addr base = k % 2 ? b : a;
+        const unsigned size = 1u << rng.nextBounded(4);
+        const Addr addr = base + rng.nextBounded(page - size + 1);
+        if (rng.nextBounded(3) == 0) {
+            std::uint64_t v = 0;
+            for (unsigned i = 0; i < size; ++i)
+                v |= std::uint64_t(modelByte(addr + i)) << (8 * i);
+            EXPECT_EQ(memory.read(addr, size), v);
+        } else {
+            write(addr, size, rng.next());
+        }
+    }
+
+    for (const Addr p : {a - page, a, a + page, a + 2 * page, b})
+        for (Addr addr = p; addr < p + page; ++addr)
+            ASSERT_EQ(memory.readByte(addr), modelByte(addr))
+                << "byte 0x" << std::hex << addr;
+    EXPECT_EQ(memory.pageCount(), model.size());
+
+    // fingerprint(): FNV over each non-zero page's 64-bit words,
+    // seeded with the page number, summed.
+    std::uint64_t expected = 0;
+    for (const auto &[num, bytes] : model) {
+        std::uint64_t h = 0xcbf29ce484222325ULL ^ num, nonZero = 0;
+        for (std::size_t i = 0; i < page; i += 8) {
+            std::uint64_t word;
+            std::memcpy(&word, bytes.data() + i, 8);
+            nonZero |= word;
+            h = (h ^ word) * 0x100000001b3ULL;
+        }
+        if (nonZero)
+            expected += h;
+    }
+    EXPECT_EQ(memory.fingerprint(), expected);
 }
 
 CacheParams
