@@ -119,8 +119,7 @@ checkInitialized(const Context &ctx, std::vector<Diagnostic> &diags)
                          "reads " + slotName(slot) +
                              ", which is never written on any path "
                              "to this instruction"});
-                } else if (!(s.must & slotBit(slot)) &&
-                           ctx.opts.warnMaybeUninit) {
+                } else if (!(s.must & slotBit(slot))) {
                     diags.push_back(
                         {Severity::Warning, "dataflow", "maybe-uninit",
                          i, "", "",
@@ -206,8 +205,7 @@ checkDataflow(const Context &ctx, std::vector<Diagnostic> &diags)
     if (ctx.cfg.empty())
         return;
     checkInitialized(ctx, diags);
-    if (ctx.opts.warnDeadStores)
-        checkDeadStores(ctx, diags);
+    checkDeadStores(ctx, diags);
 }
 
 } // namespace analysis

@@ -1,17 +1,20 @@
 /**
  * @file
- * Static memory-footprint analysis.
+ * Static memory-footprint and range checks over the interval facts.
  *
- * A light constant propagation over the integer registers resolves
- * every load/store whose address is statically computable (LDI bases
- * plus ALU arithmetic on constants).  Each resolved access is checked
- * for natural alignment against its width, and for membership in the
- * program's footprint: regions declared via
- * ProgramBuilder::footprint(), regions derived from the initial data
- * image, and caller-supplied extras (e.g. the ABI result cell).
- * Accesses whose address depends on runtime values (loop-carried
- * induction, loaded pointers) are outside the scope of a static
- * check and are left alone.
+ * checkRanges walks every reachable block with the interval state
+ * IntervalAnalysis computed for its entry.  Each load/store address
+ * interval is checked against the program's footprint: regions
+ * declared via ProgramBuilder::footprint(), regions derived from the
+ * initial data image, and caller-supplied extras (e.g. the ABI
+ * result cell).  An access entirely outside it is an
+ * out-of-footprint error (store) or warning (load); a finite range
+ * that straddles a region edge is a possible-out-of-footprint
+ * warning; a constant address that is not naturally aligned is a
+ * misaligned-access warning.  Unbounded addresses (loaded pointers,
+ * unclamped induction) are left alone.  The same walk reports
+ * provably dead branches, divisors whose range includes zero and
+ * shift amounts outside [0, 63].
  */
 
 #include <algorithm>
@@ -22,7 +25,6 @@
 #include "analysis/ai.hh"
 #include "analysis/interval.hh"
 #include "analysis/passes.hh"
-#include "analysis/regmodel.hh"
 
 namespace paradox
 {
@@ -32,38 +34,7 @@ namespace analysis
 namespace
 {
 
-/** Constant-propagation lattice value for one integer register. */
-struct CVal
-{
-    enum Kind : std::uint8_t
-    {
-        Bottom,  //!< no path seen yet
-        Const,   //!< known constant on every path
-        Top,     //!< varies or unknown
-    };
-
-    Kind kind = Bottom;
-    std::uint64_t v = 0;
-
-    static CVal constant(std::uint64_t v) { return {Const, v}; }
-    static CVal top() { return {Top, 0}; }
-
-    bool operator==(const CVal &) const = default;
-};
-
-CVal
-join(const CVal &a, const CVal &b)
-{
-    if (a.kind == CVal::Bottom)
-        return b;
-    if (b.kind == CVal::Bottom)
-        return a;
-    if (a.kind == CVal::Const && b.kind == CVal::Const && a.v == b.v)
-        return a;
-    return CVal::top();
-}
-
-using State = std::vector<CVal>;  // one CVal per integer register
+using I128 = __int128;
 
 std::string
 hex(std::uint64_t v)
@@ -73,81 +44,16 @@ hex(std::uint64_t v)
     return os.str();
 }
 
-/** Apply one instruction's effect on the integer-constant state. */
-void
-transfer(const isa::Instruction &inst, State &s)
+/** "[0x100000, 0x10ffff]" (hex when non-negative), or one value. */
+std::string
+ivStr(const Interval &iv)
 {
-    using isa::Opcode;
-
-    auto setRd = [&](const CVal &v) {
-        if (inst.rd != 0)
-            s[inst.rd] = v;
+    auto one = [](std::int64_t v) {
+        return v >= 0 ? hex(std::uint64_t(v)) : std::to_string(v);
     };
-    auto binop = [&](auto fn) {
-        const CVal &a = s[inst.rs1], &b = s[inst.rs2];
-        if (a.kind == CVal::Const && b.kind == CVal::Const)
-            setRd(CVal::constant(fn(a.v, b.v)));
-        else
-            setRd(CVal::top());
-    };
-    auto immop = [&](auto fn) {
-        const CVal &a = s[inst.rs1];
-        if (a.kind == CVal::Const)
-            setRd(CVal::constant(fn(a.v)));
-        else
-            setRd(CVal::top());
-    };
-    const std::uint64_t imm = std::uint64_t(inst.imm);
-
-    switch (inst.op) {
-      case Opcode::LDI:
-        setRd(CVal::constant(imm));
-        break;
-      case Opcode::ADDI:
-        immop([&](std::uint64_t a) { return a + imm; });
-        break;
-      case Opcode::ANDI:
-        immop([&](std::uint64_t a) { return a & imm; });
-        break;
-      case Opcode::ORI:
-        immop([&](std::uint64_t a) { return a | imm; });
-        break;
-      case Opcode::XORI:
-        immop([&](std::uint64_t a) { return a ^ imm; });
-        break;
-      case Opcode::SLLI:
-        immop([&](std::uint64_t a) { return a << (imm & 63); });
-        break;
-      case Opcode::SRLI:
-        immop([&](std::uint64_t a) { return a >> (imm & 63); });
-        break;
-      case Opcode::ADD:
-        binop([](std::uint64_t a, std::uint64_t b) { return a + b; });
-        break;
-      case Opcode::SUB:
-        binop([](std::uint64_t a, std::uint64_t b) { return a - b; });
-        break;
-      case Opcode::AND_:
-        binop([](std::uint64_t a, std::uint64_t b) { return a & b; });
-        break;
-      case Opcode::OR_:
-        binop([](std::uint64_t a, std::uint64_t b) { return a | b; });
-        break;
-      case Opcode::XOR_:
-        binop([](std::uint64_t a, std::uint64_t b) { return a ^ b; });
-        break;
-      case Opcode::MUL:
-        binop([](std::uint64_t a, std::uint64_t b) { return a * b; });
-        break;
-      default: {
-        // Any other integer def loses constness.
-        const UseDef ud = useDef(inst);
-        if (ud.def >= 0 && unsigned(ud.def) < isa::numIntRegs)
-            s[unsigned(ud.def)] = CVal::top();
-        break;
-      }
-    }
-    s[0] = CVal::constant(0);  // x0 is hard-wired
+    if (iv.isConstant())
+        return one(iv.lo);
+    return "[" + one(iv.lo) + ", " + one(iv.hi) + "]";
 }
 
 } // namespace
@@ -210,131 +116,6 @@ mergeRegions(std::vector<isa::MemRegion> regions)
 }
 
 void
-checkFootprint(const Context &ctx, std::vector<Diagnostic> &diags)
-{
-    const auto &blocks = ctx.cfg.blocks();
-    const auto &code = ctx.prog.code();
-    const std::size_t nb = blocks.size();
-    if (nb == 0)
-        return;
-
-    const auto regions =
-        footprintRegions(ctx.prog, ctx.opts.extraRegions);
-
-    // Forward constant-propagation fixpoint.
-    State bottom(isa::numIntRegs);
-    std::vector<State> in(nb, bottom), out(nb, bottom);
-
-    auto joinIn = [&](std::size_t b) {
-        State s(isa::numIntRegs);
-        if (b == ctx.cfg.entry() || blocks[b].callReturnPoint) {
-            for (auto &v : s)
-                v = CVal::top();
-        }
-        for (std::size_t p : blocks[b].preds) {
-            if (!ctx.reachable[p])
-                continue;
-            for (unsigned r = 0; r < isa::numIntRegs; ++r)
-                s[r] = join(s[r], out[p][r]);
-        }
-        s[0] = CVal::constant(0);
-        return s;
-    };
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t b = 0; b < nb; ++b) {
-            if (!ctx.reachable[b])
-                continue;
-            State s = joinIn(b);
-            in[b] = s;
-            for (std::size_t i = blocks[b].first; i <= blocks[b].last;
-                 ++i)
-                transfer(code[i], s);
-            if (s != out[b]) {
-                out[b] = std::move(s);
-                changed = true;
-            }
-        }
-    }
-
-    // Check every constant-addressable access.
-    for (std::size_t b = 0; b < nb; ++b) {
-        if (!ctx.reachable[b])
-            continue;
-        State s = in[b];
-        for (std::size_t i = blocks[b].first; i <= blocks[b].last;
-             ++i) {
-            const auto &inst = code[i];
-            const auto &ii = inst.info();
-            if (ii.memSize != 0 &&
-                s[inst.rs1].kind == CVal::Const) {
-                const unsigned size = ii.memSize;
-                const std::uint64_t addr =
-                    s[inst.rs1].v + std::uint64_t(inst.imm);
-                if (addr % size != 0)
-                    diags.push_back(
-                        {Severity::Warning, "footprint",
-                         "misaligned-access", i, "", "",
-                         std::to_string(size) + "-byte access at " +
-                             hex(addr) + " is not naturally aligned"});
-                if (!regions.empty()) {
-                    bool inside = false;
-                    for (const auto &r : regions)
-                        if (r.contains(addr, size)) {
-                            inside = true;
-                            break;
-                        }
-                    if (!inside) {
-                        const bool store = ii.isStore;
-                        diags.push_back(
-                            {store ? Severity::Error
-                                   : Severity::Warning,
-                             "footprint",
-                             store ? "out-of-footprint-store"
-                                   : "out-of-footprint-load",
-                             i, "", "",
-                             std::string(store ? "store to "
-                                               : "load from ") +
-                                 hex(addr) + " (" +
-                                 std::to_string(size) +
-                                 " bytes) is outside every declared "
-                                 "or data-derived region"});
-                    }
-                }
-            }
-            transfer(inst, s);
-        }
-    }
-
-    if (regions.empty())
-        diags.push_back({Severity::Info, "footprint", "no-footprint",
-                         Diagnostic::noIndex, "", "",
-                         "program declares no footprint and has no "
-                         "initial data; bounds were not checked"});
-}
-
-namespace
-{
-
-using I128 = __int128;
-
-/** "[0x100000, 0x10ffff]" (hex when non-negative), or one value. */
-std::string
-ivStr(const Interval &iv)
-{
-    auto one = [](std::int64_t v) {
-        return v >= 0 ? hex(std::uint64_t(v)) : std::to_string(v);
-    };
-    if (iv.isConstant())
-        return one(iv.lo);
-    return "[" + one(iv.lo) + ", " + one(iv.hi) + "]";
-}
-
-} // namespace
-
-void
 checkRanges(const Context &ctx, const IntervalAnalysis &ai,
             std::vector<Diagnostic> &diags)
 {
@@ -347,6 +128,11 @@ checkRanges(const Context &ctx, const IntervalAnalysis &ai,
 
     const auto runs = mergeRegions(
         footprintRegions(ctx.prog, ctx.opts.extraRegions));
+    if (runs.empty())
+        diags.push_back({Severity::Info, "footprint", "no-footprint",
+                         Diagnostic::noIndex, "", "",
+                         "program declares no footprint and has no "
+                         "initial data; bounds were not checked"});
     // Negative "addresses" are huge unsigned values; they can only
     // hit the footprint if some run reaches the upper half.
     bool runsHigh = false;
@@ -394,8 +180,6 @@ checkRanges(const Context &ctx, const IntervalAnalysis &ai,
                     const I128 first = addr.lo;
                     const I128 last = I128(addr.hi) + size - 1;
                     if (!overlapsAny(first, last)) {
-                        // Same pass/code as the constant path so the
-                        // two never double-report one access.
                         diags.push_back(
                             {store ? Severity::Error
                                    : Severity::Warning,

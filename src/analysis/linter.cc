@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <sstream>
 
 #include "analysis/ai.hh"
@@ -58,58 +57,56 @@ Linter::lint(const isa::Program &prog) const
     const Context ctx{prog, cfg, reachable, opts_};
     timed("reach", [&] { checkReachability(ctx, report.diags); });
     timed("dataflow", [&] { checkDataflow(ctx, report.diags); });
-    timed("footprint", [&] { checkFootprint(ctx, report.diags); });
     timed("decoded", [&] { checkDecoded(ctx, report.diags); });
 
-    std::optional<IntervalAnalysis> ai;
-    if (opts_.ranges)
-        timed("ranges", [&] {
-            ai = IntervalAnalysis::run(prog, cfg, reachable);
-            if (!ai->converged())
-                report.diags.push_back(
-                    {Severity::Warning, "ranges", "no-fixpoint",
-                     Diagnostic::noIndex, "", "",
-                     "interval analysis hit its sweep cap without "
-                     "converging; range diagnostics and trip bounds "
-                     "were skipped"});
-            else
-                checkRanges(ctx, *ai, report.diags);
-        });
-
-    if (opts_.memdep && ai && ai->converged())
-        timed("memdep",
-              [&] { checkMemDep(ctx, *ai, report.diags); });
-
-    timed("termination", [&] {
-        checkTermination(ctx, report.diags,
-                         ai && ai->converged() ? &*ai : nullptr);
+    // The interval facts feed the range checks, memdep, the
+    // termination exemption for bounded loops and the vulnerability
+    // pruning; a fixpoint that hit its sweep cap feeds none of them.
+    IntervalAnalysis ai;
+    timed("ranges", [&] {
+        ai = IntervalAnalysis::run(prog, cfg, reachable);
+        if (!ai.converged())
+            report.diags.push_back(
+                {Severity::Warning, "ranges", "no-fixpoint",
+                 Diagnostic::noIndex, "", "",
+                 "interval analysis hit its sweep cap without "
+                 "converging; range diagnostics and trip bounds "
+                 "were skipped"});
+        else
+            checkRanges(ctx, ai, report.diags);
     });
+    const IntervalAnalysis *facts = ai.converged() ? &ai : nullptr;
 
-    if (opts_.vuln)
-        timed("vuln", [&] {
-            VulnOptions vo;
-            vo.extraRegions = opts_.extraRegions;
-            vo.intervals = ai && ai->converged() ? &*ai : nullptr;
-            const VulnAnalysis va =
-                VulnAnalysis::run(prog, cfg, reachable, vo);
-            const VulnAnalysis::Stats &st = va.stats();
-            std::ostringstream msg;
-            msg << "vulnerability: " << st.regBitsLive << "/"
-                << st.regBitsTotal << " register bits live-into-output";
-            char pct[16];
-            std::snprintf(pct, sizeof pct, " (%.1f%%)",
-                          100.0 * st.liveFraction);
-            msg << pct << ", " << st.prunedEdges
-                << " interval-pruned edge(s)";
-            if (st.footprintAnalyzed)
-                msg << ", " << st.footprintLiveAtEntry << "/"
-                    << st.footprintBytes
-                    << " footprint bytes live at entry";
-            report.diags.push_back({Severity::Info, "vuln",
-                                    "live-bit-summary",
-                                    Diagnostic::noIndex, "", "",
-                                    msg.str()});
-        });
+    timed("memdep", [&] {
+        if (facts)
+            checkMemDep(ctx, *facts, report.diags);
+    });
+    timed("termination",
+          [&] { checkTermination(ctx, report.diags, facts); });
+    timed("vuln", [&] {
+        VulnOptions vo;
+        vo.extraRegions = opts_.extraRegions;
+        vo.intervals = facts;
+        const VulnAnalysis va =
+            VulnAnalysis::run(prog, cfg, reachable, vo);
+        const VulnAnalysis::Stats &st = va.stats();
+        std::ostringstream msg;
+        msg << "vulnerability: " << st.regBitsLive << "/"
+            << st.regBitsTotal << " register bits live-into-output";
+        char pct[16];
+        std::snprintf(pct, sizeof pct, " (%.1f%%)",
+                      100.0 * st.liveFraction);
+        msg << pct << ", " << st.prunedEdges
+            << " interval-pruned edge(s)";
+        if (st.footprintAnalyzed)
+            msg << ", " << st.footprintLiveAtEntry << "/"
+                << st.footprintBytes
+                << " footprint bytes live at entry";
+        report.diags.push_back({Severity::Info, "vuln",
+                                "live-bit-summary",
+                                Diagnostic::noIndex, "", "",
+                                msg.str()});
+    });
 
     // Resolve source locations: nearest label and disassembly.
     for (auto &d : report.diags) {
@@ -120,6 +117,10 @@ Linter::lint(const isa::Program &prog) const
     }
 
     // Stable order: by instruction, then severity (worst first).
+    // Nothing needs collapsing: every pass reports a (pass, code,
+    // instruction) at most once, except dataflow, whose def-before-use
+    // and maybe-uninit come once per operand register and name
+    // different registers.
     std::stable_sort(
         report.diags.begin(), report.diags.end(),
         [](const Diagnostic &a, const Diagnostic &b) {
@@ -128,28 +129,6 @@ Linter::lint(const isa::Program &prog) const
             return static_cast<int>(a.severity) >
                    static_cast<int>(b.severity);
         });
-
-    // Different paths (e.g. the constant and range footprint checks)
-    // may report the same finding at the same instruction; keep the
-    // first (most severe at that index).  For the per-access passes
-    // the (pass, code, pc) key alone identifies the finding even when
-    // the wording differs; elsewhere (e.g. one def-before-use per
-    // operand register) same-key diagnostics are distinct unless the
-    // message matches too.  Program-level diagnostics (noIndex, e.g.
-    // every overlapping-region pair) are never collapsed.
-    report.diags.erase(
-        std::unique(report.diags.begin(), report.diags.end(),
-                    [](const Diagnostic &a, const Diagnostic &b) {
-                        if (a.index != b.index ||
-                            a.index == Diagnostic::noIndex ||
-                            a.pass != b.pass || a.code != b.code)
-                            return false;
-                        return a.pass == "footprint" ||
-                               a.pass == "ranges" ||
-                               a.pass == "memdep" ||
-                               a.message == b.message;
-                    }),
-        report.diags.end());
     return report;
 }
 

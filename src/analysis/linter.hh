@@ -3,18 +3,19 @@
  * analysis::Linter — the static-analysis pass pipeline over
  * isa::Program, and its Report.
  *
- * The linter runs CFG construction, reachability, register dataflow,
- * memory-footprint and termination passes in order -- plus the
- * interval-based range passes when Options::ranges is set -- resolves
- * every diagnostic to the nearest label plus the disassembled
- * instruction, deduplicates reports that different paths raised for
- * the same (pass, code, instruction), and returns a Report that
- * renders either as human-readable text or as a machine-readable
- * JSON object (schema "paradox-lint/1").
+ * The linter runs one fixed pipeline: CFG construction, reachability,
+ * register dataflow, decoded-image consistency, the interval
+ * abstract interpretation with its range and footprint checks,
+ * memory dependence, termination and the vulnerability summary.  It
+ * resolves every diagnostic to the nearest label plus the
+ * disassembled instruction and returns a Report that renders either
+ * as human-readable text or as a machine-readable JSON object
+ * (schema "paradox-lint/1").
  *
  * A malformed workload therefore fails at lint time -- in
- * tests/test_analysis and in the `isa_lint --all --Werror` CI step --
- * instead of silently corrupting fault-injection ground truth.
+ * tests/test_analysis and in the `isa_lint --all --Werror` ctest
+ * gates -- instead of silently corrupting fault-injection ground
+ * truth.
  */
 
 #ifndef PARADOX_ANALYSIS_LINTER_HH
@@ -82,8 +83,6 @@ class Linter
 
     /** Run all passes over @p prog. */
     Report lint(const isa::Program &prog) const;
-
-    const Options &options() const { return opts_; }
 
   private:
     Options opts_;

@@ -9,10 +9,15 @@
  *
  *  - "reach":       unreachable blocks, no reachable halt
  *  - "dataflow":    def-before-use, maybe-uninitialized, dead stores
- *  - "footprint":   out-of-footprint and misaligned constant accesses
- *  - "termination": infinite and likely-infinite loops
+ *  - "decoded":     decoded micro-op image disagrees with the CFG
+ *  - "ranges":      possible out-of-footprint accesses, dead
+ *                   branches, div/shift ranges (over the interval
+ *                   AI); its definite footprint findings keep the
+ *                   "footprint" pass name
  *  - "memdep":      redundant / dead / always-overlapping memory
- *                   accesses (memdep.hh, needs the interval AI)
+ *                   accesses (memdep.hh, over the interval AI)
+ *  - "termination": infinite and likely-infinite loops
+ *  - "vuln":        the live-bit summary (vuln.hh)
  *
  * ("cfg" diagnostics — invalid branch targets, fallthrough off the
  * end of the image — are emitted during Cfg::build itself.)
@@ -34,7 +39,7 @@ namespace analysis
 
 class IntervalAnalysis;
 
-/** Tuning knobs and environment facts for the passes. */
+/** Environment facts for the passes. */
 struct Options
 {
     /**
@@ -43,32 +48,6 @@ struct Options
      * its checksum to.
      */
     std::vector<isa::MemRegion> extraRegions;
-
-    bool warnDeadStores = true;    //!< report never-read register defs
-    bool warnMaybeUninit = true;   //!< report path-dependent init
-
-    /**
-     * Run the interval abstract interpretation and the passes built
-     * on it: range-based footprint checks, dead branches, division /
-     * shift range checks, and loop trip bounds.  Off by default; the
-     * interval fixpoint costs more than every other pass combined.
-     */
-    bool ranges = false;
-
-    /**
-     * Run the fault-vulnerability (live-bit/ACE) analysis and report
-     * its aggregate live fractions.  Pair with ranges=true to let
-     * interval facts prune provably-masked bits.
-     */
-    bool vuln = false;
-
-    /**
-     * Run the memory-dependence pass (redundant-load,
-     * dead-memory-store, always-overlapping-access).  Requires
-     * ranges=true; silently skipped when the interval fixpoint did
-     * not converge.
-     */
-    bool memdep = false;
 };
 
 /** Shared read-only state handed to each pass. */
@@ -91,13 +70,6 @@ void checkReachability(const Context &ctx,
 void checkDataflow(const Context &ctx, std::vector<Diagnostic> &diags);
 
 /**
- * Constant propagation over integer registers; every load/store
- * whose address resolves to a constant is checked for alignment and
- * membership in the declared + data-derived footprint.
- */
-void checkFootprint(const Context &ctx, std::vector<Diagnostic> &diags);
-
-/**
  * Back-edge detection and loop termination heuristics: a loop with
  * no exit path is an error; a loop none of whose exit-condition
  * registers is updated inside the loop is a likely-infinite warning.
@@ -109,11 +81,13 @@ void checkTermination(const Context &ctx,
                       const IntervalAnalysis *ai = nullptr);
 
 /**
- * Interval-based checks over @p ai: range-based footprint membership
- * (constant-pass codes for definite violations so deduplication
- * collapses double reports, "possible-*" warnings for finite ranges
- * that straddle a region edge), provably dead branches, possible
- * division by zero, and out-of-range register shift amounts.
+ * Interval-based checks over @p ai: footprint membership and
+ * alignment of every access ("footprint" out-of-footprint and
+ * misaligned-access findings for definite violations, "possible-*"
+ * warnings for finite ranges that straddle a region edge, and the
+ * "no-footprint" note when the program has no footprint to check
+ * against), provably dead branches, possible division by zero, and
+ * out-of-range register shift amounts.
  */
 void checkRanges(const Context &ctx, const IntervalAnalysis &ai,
                  std::vector<Diagnostic> &diags);

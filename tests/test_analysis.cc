@@ -1,9 +1,10 @@
 /**
  * @file
- * Static-analysis tests: CFG construction, the dataflow / footprint /
- * termination passes on tiny synthetic programs (including known-bad
- * programs that must produce specific diagnostics), the hardened
- * ProgramBuilder error aggregation, the JSON report shape, and --
+ * Static-analysis tests: CFG construction, the dataflow / range /
+ * footprint / termination passes on tiny synthetic programs
+ * (including known-bad programs that must produce specific
+ * diagnostics), the hardened ProgramBuilder error aggregation, the
+ * JSON report shape, and --
  * the gate the subsystem exists for -- a clean lint of all 21
  * registered workloads.
  */
@@ -304,7 +305,7 @@ TEST(Footprint, MisalignedConstantAccessIsAWarning)
               Severity::Warning);
 }
 
-TEST(Footprint, VaryingAddressesAreNotChecked)
+TEST(Footprint, InBoundsInductionStoreIsClean)
 {
     ProgramBuilder b("vary");
     b.footprint(0x1000, 64, "buf");
@@ -312,11 +313,29 @@ TEST(Footprint, VaryingAddressesAreNotChecked)
     b.ldi(r2, 8);
     b.label("top");
     b.sd(r0, r1, 0);
-    b.addi(r1, r1, 8);          // r1 varies: joins to non-constant
-    b.addi(r2, r2, -1);
+    b.addi(r1, r1, 8);          // r1 varies; the trip bound clamps it
+    b.addi(r2, r2, -1);         // to [0x1000, 0x1038]
     b.bne(r2, r0, "top");
     b.halt();
     const Report report = Linter().lint(b.build());
+    EXPECT_EQ(countCode(report, "out-of-footprint-store"), 0u);
+    EXPECT_EQ(countCode(report, "possible-out-of-footprint-store"), 0u)
+        << report.toText();
+}
+
+TEST(Footprint, ProgramWithoutRegionsReportsNoFootprint)
+{
+    ProgramBuilder b("nofoot");     // no regions, no data
+    b.ldi(r1, 0x1000);
+    b.ldi(r2, 5);
+    b.sd(r2, r1, 0);
+    b.halt();
+    const Report report = Linter().lint(b.build());
+    const Diagnostic *d = findCode(report, "no-footprint");
+    ASSERT_NE(d, nullptr) << report.toText();
+    EXPECT_EQ(d->severity, Severity::Info);
+    EXPECT_EQ(d->pass, "footprint");
+    EXPECT_EQ(d->index, Diagnostic::noIndex);
     EXPECT_EQ(countCode(report, "out-of-footprint-store"), 0u);
 }
 
@@ -581,17 +600,8 @@ TEST(Interval, RefineCmpNarrowsBothSides)
 }
 
 // ---------------------------------------------------------------------
-// Range-based diagnostics (Options::ranges)
+// Range-based diagnostics
 // ---------------------------------------------------------------------
-
-/** Lint with the interval passes enabled. */
-Report
-lintRanges(ProgramBuilder &b)
-{
-    Options opts;
-    opts.ranges = true;
-    return Linter(opts).lint(b.build());
-}
 
 TEST(Ranges, InductionStoreStraddlingRegionEdgeIsPossibleOob)
 {
@@ -605,7 +615,7 @@ TEST(Ranges, InductionStoreStraddlingRegionEdgeIsPossibleOob)
     b.addi(r2, r2, -1);
     b.bne(r2, r0, "top");
     b.halt();
-    const Report report = lintRanges(b);
+    const Report report = Linter().lint(b.build());
     const Diagnostic *d =
         findCode(report, "possible-out-of-footprint-store");
     ASSERT_NE(d, nullptr) << report.toText();
@@ -629,7 +639,7 @@ TEST(Ranges, InductionLoadStraddlingRegionEdgeIsPossibleOob)
     b.ldi(r4, 0x1000);
     b.sd(r3, r4, 0);
     b.halt();
-    const Report report = lintRanges(b);
+    const Report report = Linter().lint(b.build());
     EXPECT_NE(findCode(report, "possible-out-of-footprint-load"),
               nullptr)
         << report.toText();
@@ -647,7 +657,7 @@ TEST(Ranges, InBoundsInductionLoopIsClean)
     b.addi(r2, r2, -1);
     b.bne(r2, r0, "top");
     b.halt();
-    const Report report = lintRanges(b);
+    const Report report = Linter().lint(b.build());
     EXPECT_TRUE(report.clean(/*warnAsError=*/true))
         << report.toText();
 }
@@ -664,9 +674,9 @@ TEST(Ranges, InductionStoreEntirelyOutsideIsDefiniteError)
     b.addi(r2, r2, -1);
     b.bne(r2, r0, "top");
     b.halt();
-    const Report report = lintRanges(b);
-    // Definite violations reuse the constant pass's code (and Error
-    // severity) even though the address here is a varying interval.
+    const Report report = Linter().lint(b.build());
+    // A varying interval wholly outside the footprint is a definite
+    // violation: the same code and Error severity as a constant one.
     const Diagnostic *d = findCode(report, "out-of-footprint-store");
     ASSERT_NE(d, nullptr) << report.toText();
     EXPECT_EQ(d->severity, Severity::Error);
@@ -682,7 +692,7 @@ TEST(Ranges, ProvablyConstantBranchIsDead)
     b.ldi(r2, 0x100);
     b.sd(r1, r2, 0);
     b.halt();
-    const Report report = lintRanges(b);
+    const Report report = Linter().lint(b.build());
     const Diagnostic *d = findCode(report, "dead-branch");
     ASSERT_NE(d, nullptr) << report.toText();
     EXPECT_NE(d->message.find("never"), std::string::npos);
@@ -702,7 +712,7 @@ TEST(Ranges, DivisorRangeContainingZeroWarns)
     b.ldi(r4, 0x100);
     b.sd(r3, r4, 0);
     b.halt();
-    const Report report = lintRanges(b);
+    const Report report = Linter().lint(b.build());
     EXPECT_NE(findCode(report, "possible-div-by-zero"), nullptr)
         << report.toText();
 }
@@ -722,22 +732,22 @@ TEST(Ranges, ShiftAmountRangePastSixtyThreeWarns)
     b.ldi(r2, 0x100);
     b.sd(r4, r2, 0);
     b.halt();
-    const Report report = lintRanges(b);
+    const Report report = Linter().lint(b.build());
     EXPECT_NE(findCode(report, "shift-range"), nullptr)
         << report.toText();
 }
 
 TEST(Ranges, ConstantOobIsReportedExactlyOnce)
 {
-    // The constant footprint pass and the range pass both see this
-    // store; identical (pass, code, pc) must collapse to one report.
+    // A constant address is a singleton interval, so the range pass
+    // reports this store once, as a definite "footprint" finding.
     ProgramBuilder b("dedup");
     b.footprint(0x1000, 64, "buf");
     b.ldi(r1, 0x1000);
     b.ldi(r2, 5);
     b.sd(r2, r1, 64);
     b.halt();
-    const Report report = lintRanges(b);
+    const Report report = Linter().lint(b.build());
     EXPECT_EQ(countCode(report, "out-of-footprint-store"), 1u)
         << report.toText();
 }
@@ -909,9 +919,8 @@ TEST(Builder, AllOverlapPairsAreAggregated)
 }
 
 // ---------------------------------------------------------------------
-// The gates: every registered workload must lint clean (with the
-// interval passes), and the loop trip bounds must hold on real
-// executions.
+// The gates: every registered workload must lint clean, and the loop
+// trip bounds must hold on real executions.
 // ---------------------------------------------------------------------
 
 TEST(Workloads, AllWorkloadsLintCleanUnderWerror)
@@ -919,7 +928,6 @@ TEST(Workloads, AllWorkloadsLintCleanUnderWerror)
     Options opts;
     opts.extraRegions.push_back(
         {paradox::workloads::resultAddr, 8, "result"});
-    opts.ranges = true;
     const Linter linter(opts);
     for (const auto &name : paradox::workloads::allNames()) {
         const auto w = paradox::workloads::build(name, 1);

@@ -63,16 +63,6 @@ findCode(const Report &report, const std::string &code)
     return nullptr;
 }
 
-/** Lint with the interval and memory-dependence passes enabled. */
-Report
-lintMemdep(ProgramBuilder &b)
-{
-    Options opts;
-    opts.ranges = true;
-    opts.memdep = true;
-    return Linter(opts).lint(b.build());
-}
-
 /** The full static pipeline under one roof, kept alive together. */
 struct Pipeline
 {
@@ -191,7 +181,7 @@ TEST(MemDepLint, RedundantLoadIsInfo)
     b.add(r2, r2, r3);
     b.sd(r2, r1, 8);
     b.halt();
-    const Report report = lintMemdep(b);
+    const Report report = Linter().lint(b.build());
     ASSERT_EQ(countCode(report, "redundant-load"), 1u)
         << report.toText();
     const Diagnostic *d = findCode(report, "redundant-load");
@@ -211,7 +201,7 @@ TEST(MemDepLint, InterveningStoreBlocksRedundantLoad)
     b.add(r2, r2, r3);
     b.sd(r2, r1, 8);
     b.halt();
-    const Report report = lintMemdep(b);
+    const Report report = Linter().lint(b.build());
     EXPECT_EQ(countCode(report, "redundant-load"), 0u)
         << report.toText();
 }
@@ -225,7 +215,7 @@ TEST(MemDepLint, DeadMemoryStoreIsWarning)
     b.sd(r2, r1, 0);   // 2: fully overwritten below, never read
     b.sd(r0, r1, 0);
     b.halt();
-    const Report report = lintMemdep(b);
+    const Report report = Linter().lint(b.build());
     ASSERT_EQ(countCode(report, "dead-memory-store"), 1u)
         << report.toText();
     const Diagnostic *d = findCode(report, "dead-memory-store");
@@ -244,7 +234,7 @@ TEST(MemDepLint, InterveningLoadKeepsStoreLive)
     b.ld(r3, r1, 0);   // reads the stored bytes first
     b.sd(r3, r1, 0);
     b.halt();
-    const Report report = lintMemdep(b);
+    const Report report = Linter().lint(b.build());
     EXPECT_EQ(countCode(report, "dead-memory-store"), 0u)
         << report.toText();
 }
@@ -258,7 +248,7 @@ TEST(MemDepLint, MixedGranularityOverlapIsWarning)
     b.sd(r2, r1, 0);   // 8 bytes ...
     b.sb(r2, r1, 0);   // ... then 1 byte inside them
     b.halt();
-    const Report report = lintMemdep(b);
+    const Report report = Linter().lint(b.build());
     ASSERT_EQ(countCode(report, "always-overlapping-access"), 1u)
         << report.toText();
     const Diagnostic *d =
@@ -269,12 +259,9 @@ TEST(MemDepLint, MixedGranularityOverlapIsWarning)
 
 TEST(MemDepLint, AllWorkloadsStayWerrorCleanWithMemdep)
 {
-    // The CI gate runs `isa_lint --all --ranges --memdep --Werror`:
-    // no registered workload may produce a memdep warning.
-    Options opts;
-    opts.ranges = true;
-    opts.memdep = true;
-    const Linter linter(opts);
+    // The ctest gate isa_lint_memdep runs `isa_lint --all --memdep
+    // --Werror`: no registered workload may produce a memdep warning.
+    const Linter linter;
     for (const auto &name : workloads::allNames()) {
         const workloads::Workload w = workloads::build(name, 1);
         const Report report = linter.lint(w.program);

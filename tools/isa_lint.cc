@@ -3,9 +3,9 @@
  * isa_lint: static analysis of the built-in PDX64 workloads.
  *
  * Runs the analysis::Linter pass pipeline (CFG, reachability,
- * register dataflow, memory footprint, termination heuristics, and
- * optionally the interval range passes) over any subset of the
- * registered workloads:
+ * register dataflow, decoded image, interval ranges and footprint,
+ * memory dependence, termination, vulnerability summary) over any
+ * subset of the registered workloads:
  *
  *   isa_lint --list                 # names, one per line
  *   isa_lint --all                  # lint every workload
@@ -13,7 +13,6 @@
  *   isa_lint --all --json           # one JSON report per line
  *   isa_lint --all --Werror         # warnings fail the run
  *   isa_lint --all --scale 4        # lint at benchmark scale
- *   isa_lint --all --ranges         # interval ranges + trip bounds
  *   isa_lint --all --stats          # per-pass counts and timings
  *   isa_lint --all --vuln --json            # paradox-vuln/1 JSONL
  *   isa_lint --all --vuln --chip-seed 101 --json  # + cell verdicts
@@ -21,23 +20,25 @@
  *
  * --vuln replaces the lint reports on stdout with the static
  * fault-vulnerability model (live-bit/ACE masks, one record per
- * workload; JSONL under --json; implies --ranges so interval facts
- * prune provably-masked ranges); lint still runs and failing
+ * workload; JSONL under --json); lint still runs and failing
  * workloads print their report to stderr, so the model stream stays
- * machine-parsable.  --chip-seed additionally emits per-weak-cell
- * verdicts for that chip's fault map.  --memdep does the same with
- * the memory-dependence / effect-summary model: per-run load/store
- * counts, worst-case log-byte bounds, and the alias-oracle pair
- * census, stamped with the decoded content hash so `trace_report
- * --memdep` can reject a stale model.
+ * machine-parsable.  --chip-seed (with --vuln only) additionally
+ * emits per-weak-cell verdicts for that chip's fault map.  --memdep
+ * does the same with the memory-dependence / effect-summary model:
+ * per-run load/store counts, worst-case log-byte bounds, and the
+ * alias-oracle pair census, stamped with the decoded content hash so
+ * `trace_report --memdep` can reject a stale model.
  *
  * Exit status: 0 when every linted program is clean, 1 when any
  * program has an error-severity diagnostic (or any warning under
- * --Werror), 2 on usage errors.  CI runs `isa_lint --all --ranges
- * --Werror`, so a malformed workload can never reach the
- * fault-injection experiments.
+ * --Werror), 2 on usage errors (unknown flag or workload, no
+ * workload selected, --vuln with --memdep, --chip-seed without
+ * --vuln).  The ctest gates run `isa_lint --all --Werror`, so a
+ * malformed workload can never reach the fault-injection
+ * experiments.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -60,35 +61,31 @@ main(int argc, char **argv)
     using namespace paradox;
 
     bool all = false, json = false, werror = false, list = false;
-    bool ranges = false, stats = false, vuln = false;
-    bool memdep = false;
+    bool stats = false, vuln = false, memdep = false;
     unsigned scale = 1;
     std::uint64_t chipSeed = 0;
 
     exp::Cli cli("isa_lint",
-                 "static analysis (CFG, dataflow, footprint, "
-                 "termination) over the built-in workloads; name "
-                 "workloads as positional arguments or pass --all");
+                 "static analysis (CFG, dataflow, ranges, footprint, "
+                 "memdep, termination, vuln) over the built-in "
+                 "workloads; name workloads as positional arguments "
+                 "or pass --all");
     cli.flag("all", all, "lint every registered workload");
     cli.flag("list", list, "print workload names and exit");
     cli.flag("json", json, "one paradox-lint/1 JSON object per line");
     cli.flag("Werror", werror, "treat warnings as errors");
-    cli.flag("ranges", ranges,
-             "run the interval abstract interpretation: range-based "
-             "footprint checks, dead branches, div/shift ranges, "
-             "loop trip bounds");
     cli.flag("stats", stats,
              "append per-pass diagnostic counts and wall-clock "
              "timings to text reports");
     cli.flag("vuln", vuln,
              "emit the static fault-vulnerability model (live-bit/ACE "
              "masks, paradox-vuln/1 JSONL under --json) instead of "
-             "lint reports (implies --ranges)");
+             "lint reports");
     cli.flag("memdep", memdep,
              "emit the static memory-dependence / effect-summary "
              "model (per-run log-byte bounds, alias pair census, "
              "paradox-memdep/1 JSONL under --json) instead of lint "
-             "reports (implies --ranges)");
+             "reports");
     cli.opt("scale", scale, "workload size multiplier");
     cli.opt("chip-seed", chipSeed,
             "with --vuln: also emit per-weak-cell ACE verdicts for "
@@ -134,20 +131,26 @@ main(int argc, char **argv)
                      "exclusive (one model stream per run)\n");
         return 2;
     }
-    if (vuln || memdep)
-        ranges = true;
+    if (chipSeed != 0 && !vuln) {
+        std::fprintf(stderr,
+                     "isa_lint: --chip-seed needs --vuln (the cell "
+                     "verdicts are part of the vuln model stream)\n");
+        return 2;
+    }
+    const std::vector<std::string> &known = workloads::allNames();
+    for (const auto &name : names)
+        if (std::find(known.begin(), known.end(), name) == known.end()) {
+            std::fprintf(stderr,
+                         "isa_lint: unknown workload '%s' (see "
+                         "--list)\n",
+                         name.c_str());
+            return 2;
+        }
 
     // Every workload stores its checksum to the ABI result cell,
     // which is part of the footprint but not of any one program.
     analysis::Options opts;
     opts.extraRegions.push_back({workloads::resultAddr, 8, "result"});
-    opts.ranges = ranges;
-    // The vulnerability and memory-dependence passes ride along with
-    // the interval passes: their diagnostics land in lint reports
-    // (and their counts and timings in --stats) whether or not a
-    // model stream is emitted.
-    opts.vuln = ranges;
-    opts.memdep = ranges;
     const analysis::Linter linter(opts);
 
     bool failed = false;
