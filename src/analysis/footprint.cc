@@ -53,7 +53,13 @@ ivStr(const Interval &iv)
     };
     if (iv.isConstant())
         return one(iv.lo);
-    return "[" + one(iv.lo) + ", " + one(iv.hi) + "]";
+    // Appended piecewise, as in Interval::toString().
+    std::string s = "[";
+    s += one(iv.lo);
+    s += ", ";
+    s += one(iv.hi);
+    s += ']';
+    return s;
 }
 
 } // namespace

@@ -47,7 +47,14 @@ Interval::toString() const
         return "bot";
     if (isTop())
         return "top";
-    return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    // Appended piecewise: "[" + std::string temporary trips GCC 12's
+    // -Wrestrict false positive.
+    std::string s = "[";
+    s += std::to_string(lo);
+    s += ", ";
+    s += std::to_string(hi);
+    s += ']';
+    return s;
 }
 
 Interval

@@ -8,9 +8,12 @@ namespace analysis
 std::string
 slotName(unsigned slot)
 {
-    if (slot < isa::numIntRegs)
-        return "x" + std::to_string(slot);
-    return "f" + std::to_string(slot - isa::numIntRegs);
+    // Appended, not "x" + std::to_string(...): that temporary trips
+    // GCC 12's -Wrestrict false positive.
+    std::string s(1, slot < isa::numIntRegs ? 'x' : 'f');
+    s += std::to_string(slot < isa::numIntRegs ? slot
+                                               : slot - isa::numIntRegs);
+    return s;
 }
 
 UseDef

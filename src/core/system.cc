@@ -72,6 +72,13 @@ System::System(const SystemConfig &config, const isa::Program &program,
                                        config_.physicalOffset);
     itlb_ = std::make_unique<mem::Tlb>(mem::TlbParams{},
                                        config_.physicalOffset);
+    const unsigned fetch_line = config_.hierarchy.l1i.lineBytes;
+    if (fetch_line > itlb_->params().pageBytes ||
+        config_.physicalOffset % fetch_line != 0)
+        fatal("System: the L1I line must fit a page and physicalOffset "
+              "must be line-aligned");
+    while ((1u << fetchLineShift_) < fetch_line)
+        ++fetchLineShift_;
     mainCore_ = std::make_unique<cpu::MainCore>(config_.mainCore,
                                                 mainClock_, *hierarchy_);
     if (uncore && uncore->checkers) {
@@ -1435,9 +1442,22 @@ System::commit(const isa::CommitRecord &r)
         // timing path runs on physical addresses, and TLB-miss walks
         // stall the pipeline.  Checkers replay the log's virtual
         // addresses untranslated.
-        const mem::Translation ifetch = itlb_->translate(r.pc);
+        const std::uint64_t fetch_line = r.pc >> fetchLineShift_;
+        const bool line_hit = fetch_line == fetchLine_;
+        Addr fetch_paddr;
+        unsigned walk_cycles = 0;
+        if (line_hit) {
+            ++fetchRepeats_;
+            fetch_paddr = itlb_->physical(r.pc);
+        } else {
+            if (fetchRepeats_ != 0)
+                settleFetchRepeats();
+            const mem::Translation ifetch = itlb_->translate(r.pc);
+            fetch_paddr = ifetch.paddr;
+            walk_cycles = ifetch.extraCycles;
+            fetchLine_ = fetch_line;
+        }
         Addr mem_paddr = r.memAddr;
-        unsigned walk_cycles = ifetch.extraCycles;
         if (r.isLoad || r.isStore) {
             const mem::Translation data = dtlb_->translate(r.memAddr);
             mem_paddr = data.paddr;
@@ -1449,9 +1469,9 @@ System::commit(const isa::CommitRecord &r)
         // A pinned-line stall inside advance() may close the segment
         // and dispatch it (the resolver); the filling_ test below
         // then ends the batch.
-        mainCore_->advance(r, ifetch.paddr, mem_paddr,
+        mainCore_->advance(r, fetch_paddr, mem_paddr,
                            r.nextPc + config_.physicalOffset, pin_seg,
-                           stamp);
+                           stamp, line_hit);
     }
 
     // Below nextEventTick_ no tick-driven test can fire (detection,
@@ -1592,12 +1612,25 @@ System::commitBatch()
             return commit(r);
         },
         gate);
+    if (fetchRepeats_ != 0)
+        settleFetchRepeats();
+    fetchLine_ = noLine;
     const std::uint64_t uops = executed_ - executed_before;
     if (uops > 0) {
         ++*sbBatches_;
         *sbUops_ += uops;
     }
     return uops > 0 || stop != isa::RunStop::MemNext;
+}
+
+void
+System::settleFetchRepeats()
+{
+    const Addr vaddr = Addr(fetchLine_) << fetchLineShift_;
+    itlb_->repeatHits(vaddr, fetchRepeats_);
+    hierarchy_->l1i().repeatReadHits(itlb_->physical(vaddr), fetchRepeats_,
+                                     mainCore_->lineHitFetchAt());
+    fetchRepeats_ = 0;
 }
 
 bool

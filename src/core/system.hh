@@ -521,6 +521,14 @@ class System
     /** A fetch left the image (nothing executed): cut and drain. */
     void wildFetch();
 
+    /**
+     * Account the fetches commit() served on fetchLine_ without the
+     * I-TLB and L1I (fetchRepeats_ of them) as the hits they are, and
+     * zero the count.  Runs before the next fetch that calls in and
+     * at the end of every batch.
+     */
+    void settleFetchRepeats();
+
     /** True when the progress watchdog must escalate at @p now. */
     bool watchdogDue(Tick now) const;
 
@@ -602,6 +610,20 @@ class System
     std::unique_ptr<mem::CacheHierarchy> hierarchy_;
     std::unique_ptr<mem::Tlb> dtlb_;
     std::unique_ptr<mem::Tlb> itlb_;
+    /**
+     * Per-line fetch (DESIGN §11): the virtual L1I line (pc >>
+     * fetchLineShift_) of the batch's last fetch that went through
+     * the I-TLB and L1I, and how many fetches since then stayed on it.
+     * A line lies in one I-TLB page and, with physicalOffset
+     * line-aligned (checked in the constructor), in one physical L1I
+     * line, and nothing but fetches touches the I-TLB and L1I inside a
+     * batch, so each repeat is a hit on both memos.  noLine outside a
+     * batch.
+     */
+    static constexpr std::uint64_t noLine = ~std::uint64_t(0);
+    std::uint64_t fetchLine_ = noLine;
+    std::uint64_t fetchRepeats_ = 0;
+    unsigned fetchLineShift_ = 0;
     std::unique_ptr<cpu::MainCore> mainCore_;
     std::unique_ptr<cpu::CheckerTiming> checkerTiming_;
     std::unique_ptr<CheckerScheduler> sched_;

@@ -114,7 +114,7 @@ class CheckerTiming
     void reset();
 
   private:
-    /** instCycles() past the same-line L0 hit: the full fetch path. */
+    /** instCycles() past the memoized L0 hit: the full fetch path. */
     Cycles instCyclesSlow(unsigned id, Addr pc, isa::InstClass cls);
 
     CheckerParams params_;

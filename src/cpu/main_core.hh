@@ -108,12 +108,21 @@ class MainCore
      * addresses passed alongside the (virtual-addressed) record: the
      * timing path -- fetch, data access, and predictor indexing --
      * runs on @p fetch_pc / @p mem_addr / @p next_pc so the commit
-     * loop does not have to copy and patch the whole record.
+     * loop does not have to copy and patch the whole record.  With
+     * @p fetch_line_hit the caller vouches that the fetch hits the L1I
+     * line its previous fetch resolved: advance() charges the hit
+     * latency without a lookup and records the fetch tick
+     * (lineHitFetchAt()), and the caller accounts the hit later
+     * (Cache::repeatReadHits).
      * Force-inlined (defined below): it is the per-commit kernel.
      */
     [[gnu::always_inline]] CommitTiming
     advance(const isa::CommitRecord &r, Addr fetch_pc, Addr mem_addr,
-            Addr next_pc, std::uint64_t pin_seg, std::uint64_t stamp);
+            Addr next_pc, std::uint64_t pin_seg, std::uint64_t stamp,
+            bool fetch_line_hit = false);
+
+    /** Fetch tick of the latest advance() with fetch_line_hit. */
+    Tick lineHitFetchAt() const { return lineHitFetchAt_; }
 
     /** Set the handler for pinned-set stalls. */
     void setPinnedStallResolver(PinnedStallResolver resolver)
@@ -244,6 +253,7 @@ class MainCore
 
     Tick fetchReadyAt_ = 0;
     Tick nextFetchSlot_ = 0;
+    Tick lineHitFetchAt_ = 0;
     Tick nextCommitSlot_ = 0;
     Tick lastCommit_ = 0;
 
@@ -275,7 +285,7 @@ class MainCore
 inline CommitTiming
 MainCore::advance(const isa::CommitRecord &r, Addr fetch_pc,
                   Addr mem_addr, Addr next_pc, std::uint64_t pin_seg,
-                  std::uint64_t stamp)
+                  std::uint64_t stamp, bool fetch_line_hit)
 {
     CommitTiming timing;
     // Every tick constant below derives from this period.  Only the
@@ -288,7 +298,13 @@ MainCore::advance(const isa::CommitRecord &r, Addr fetch_pc,
 
     // ---- Fetch ----------------------------------------------------
     const Tick fetch_start = std::max(fetchReadyAt_, nextFetchSlot_);
-    const Tick fetch_done = hierarchy_.instFetch(fetch_pc, fetch_start);
+    Tick fetch_done;
+    if (fetch_line_hit) {
+        lineHitFetchAt_ = fetch_start;
+        fetch_done = hierarchy_.instFetchHit(fetch_start);
+    } else {
+        fetch_done = hierarchy_.instFetch(fetch_pc, fetch_start);
+    }
     // Bandwidth: 'width' sequential fetches per cycle; an I-cache
     // miss additionally holds the in-order frontend.
     nextFetchSlot_ = std::max(fetch_start + slot, fetch_done - period);

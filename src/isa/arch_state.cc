@@ -1,8 +1,5 @@
 #include "isa/arch_state.hh"
 
-#include <bit>
-#include <cstring>
-
 namespace paradox
 {
 namespace isa
@@ -15,18 +12,6 @@ ArchState::reset(Addr entry_pc)
     f_.fill(0);
     pc_ = entry_pc;
     fflags_ = 0;
-}
-
-double
-ArchState::readF(unsigned idx) const
-{
-    return std::bit_cast<double>(f_[idx]);
-}
-
-void
-ArchState::writeF(unsigned idx, double value)
-{
-    f_[idx] = std::bit_cast<std::uint64_t>(value);
 }
 
 std::uint64_t

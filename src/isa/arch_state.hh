@@ -12,6 +12,7 @@
 #define PARADOX_ISA_ARCH_STATE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "isa/instruction.hh"
@@ -57,8 +58,17 @@ class ArchState
     /** @{ FP register file access (raw 64-bit patterns). */
     std::uint64_t readFBits(unsigned idx) const { return f_[idx]; }
     void writeFBits(unsigned idx, std::uint64_t bits) { f_[idx] = bits; }
-    double readF(unsigned idx) const;
-    void writeF(unsigned idx, double value);
+    double
+    readF(unsigned idx) const
+    {
+        return std::bit_cast<double>(f_[idx]);
+    }
+
+    void
+    writeF(unsigned idx, double value)
+    {
+        f_[idx] = std::bit_cast<std::uint64_t>(value);
+    }
     /** @} */
 
     /** @{ Program counter. */

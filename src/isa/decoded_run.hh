@@ -420,9 +420,15 @@ dispatch:
         next_idx = next_pc / instBytes;  // aligned by construction
         U_NEXT();
 
-    U_LABEL(FADD) U_READ_FAB(); U_WRITE_F(fa + fb); U_NEXT();
+    U_LABEL(FADD)
+        U_READ_FAB();
+        U_WRITE_F(fpNanFirst(fa + fb, fa, fb));
+        U_NEXT();
     U_LABEL(FSUB) U_READ_FAB(); U_WRITE_F(fa - fb); U_NEXT();
-    U_LABEL(FMUL) U_READ_FAB(); U_WRITE_F(fa * fb); U_NEXT();
+    U_LABEL(FMUL)
+        U_READ_FAB();
+        U_WRITE_F(fpNanFirst(fa * fb, fa, fb));
+        U_NEXT();
     U_LABEL(FDIV)
         U_READ_FAB();
         if (fb == 0.0)
@@ -442,7 +448,9 @@ dispatch:
     U_LABEL(FMADD)
         // rd <- rs1 * rs2 + rd (rd doubles as accumulator source).
         U_READ_FAB();
-        U_WRITE_F(fa * fb + state.readF(u->rd));
+        fa = fpNanFirst(fa * fb, fa, fb);
+        fb = state.readF(u->rd);
+        U_WRITE_F(fpNanFirst(fa + fb, fa, fb));
         U_NEXT();
     U_LABEL(FCVT_D_L)
         U_READ_FAB();

@@ -57,7 +57,7 @@ Cache::access(Addr addr, bool is_write, Tick now, std::uint64_t pin_seg,
     const std::uint64_t tag = lineId >> setShift_;
     const std::size_t set = lineId & setMask_;
 
-    Line *line = mruHit(lineId);
+    Line *line = memoHit(lineId);
     if (!line) {
         Line *base = &lines_[set * params_.assoc];
         for (unsigned w = 0; w < params_.assoc; ++w) {
@@ -105,14 +105,14 @@ Cache::access(Addr addr, bool is_write, Tick now, std::uint64_t pin_seg,
         }
         ++misses_;
         result.outcome = CacheOutcome::Miss;
+        forget(*victim, set);
         *victim = Line{};
         victim->valid = true;
         victim->tag = tag;
         line = victim;
     }
 
-    mruLineId_ = lineId;
-    mruLine_ = line;
+    memo_[memoSlot(lineId)] = MemoSlot{lineId, line};
     line->lastUsed = now;
     result.lineStampMatched = line->stamp == stamp;
     if (is_write)
@@ -149,16 +149,25 @@ Cache::fill(Addr addr, Tick now)
     }
     if (!victim)
         return;  // never displace pinned lines for a prefetch
-    if (victim == mruLine_)
-        mruLineId_ = noLine;
     if (victim->valid)
         ++evictions_;
+    forget(*victim, set);
     *victim = Line{};
     victim->valid = true;
     victim->tag = tag;
     // Prefetched lines are inserted cold-ish (slightly aged) so a
     // wrong prefetch is the next victim.
     victim->lastUsed = now == 0 ? 0 : now - 1;
+}
+
+void
+Cache::repeatReadHits(Addr addr, std::uint64_t n, Tick last)
+{
+    Line *line = memoHit(addr >> lineShift_);
+    if (!line)
+        panic("Cache: repeated hits on a line that is not memoized");
+    hits_ += n;
+    line->lastUsed = last;
 }
 
 bool
@@ -206,7 +215,7 @@ Cache::invalidateAll()
     for (auto &line : lines_)
         line = Line{};
     pinned_.clear();
-    mruLineId_ = noLine;
+    memo_ = {};
     std::fill(mshrBusy_.begin(), mshrBusy_.end(), 0);
 }
 

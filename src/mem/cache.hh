@@ -19,6 +19,7 @@
 #ifndef PARADOX_MEM_CACHE_HH
 #define PARADOX_MEM_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -84,28 +85,27 @@ class Cache
                              std::uint64_t stamp = 0);
 
     /**
-     * The inline same-line read hit: exactly access(@p addr, false,
-     * @p now) when @p addr falls in the line the previous access
-     * resolved and that line is still valid -- the same hit test,
-     * ++hits, and the same LRU stamp.  Anything else returns false
-     * and changes nothing; the caller then takes access()'s scan.
+     * The inline read hit: exactly access(@p addr, false, @p now) when
+     * @p addr falls in a memoized line (see memo_) -- the same hit
+     * test, ++hits, and the same LRU stamp.  Anything else returns
+     * false and changes nothing; the caller then takes access()'s
+     * scan.
      */
     bool
     tryReadHit(Addr addr, Tick now)
     {
-        // mruHit()'s compare alone: a matching id implies mruLine_.
-        if ((addr >> lineShift_) != mruLineId_)
+        Line *line = memoHit(addr >> lineShift_);
+        if (!line)
             return false;
         ++hits_;
-        mruLine_->lastUsed = now;
+        line->lastUsed = now;
         return true;
     }
 
     /**
-     * The inline same-line write hit: exactly access(@p addr, true,
-     * @p now, @p pin_seg, @p stamp) when @p addr falls in the line the
-     * previous access resolved and that line is still valid -- ++hits,
-     * the same LRU stamp, @p stamp_matched set to the result's
+     * The inline write hit: exactly access(@p addr, true, @p now,
+     * @p pin_seg, @p stamp) when @p addr falls in a memoized line --
+     * ++hits, the same LRU stamp, @p stamp_matched set to the result's
      * lineStampMatched, then the dirty bit, checkpoint stamp and pin
      * (pinned_ included).  Anything else returns false and changes
      * nothing, @p stamp_matched included.
@@ -114,14 +114,23 @@ class Cache
     tryWriteHit(Addr addr, Tick now, std::uint64_t pin_seg,
                 std::uint64_t stamp, bool &stamp_matched)
     {
-        if ((addr >> lineShift_) != mruLineId_)
+        Line *line = memoHit(addr >> lineShift_);
+        if (!line)
             return false;
         ++hits_;
-        mruLine_->lastUsed = now;
-        stamp_matched = mruLine_->stamp == stamp;
-        write(*mruLine_, pin_seg, stamp);
+        line->lastUsed = now;
+        stamp_matched = line->stamp == stamp;
+        write(*line, pin_seg, stamp);
         return true;
     }
+
+    /**
+     * Account @p n read hits on the line holding @p addr that the
+     * caller served without calling in, the last at @p last: exactly
+     * @p n tryReadHit(@p addr, ...) calls.  The line must be memoized,
+     * i.e. the caller's last access to this cache resolved it.
+     */
+    void repeatReadHits(Addr addr, std::uint64_t n, Tick last);
 
     /** Install a line without demand semantics (prefetch fill). */
     void fill(Addr addr, Tick now);
@@ -184,15 +193,26 @@ class Cache
         std::uint64_t stamp = ~std::uint64_t(0);
     };
 
-    /** The memoized line if it holds line @p line_id, else null.
-     *  One compare: mruLineId_ names the line mruLine_ holds, and
-     *  every change of what a line holds either re-points the memo
-     *  (access()) or clears it (fill() evicting the memo line,
-     *  invalidateAll()). */
+    /** The memoized line holding line @p line_id, else null: one
+     *  compare in the line id's slot (see memo_). */
     Line *
-    mruHit(std::uint64_t line_id) const
+    memoHit(std::uint64_t line_id) const
     {
-        return line_id == mruLineId_ ? mruLine_ : nullptr;
+        const MemoSlot &slot = memo_[memoSlot(line_id)];
+        return slot.lineId == line_id ? slot.line : nullptr;
+    }
+
+    /** @p line, of set @p set, is about to hold another line or
+     *  none: clear the slot that names what it holds now. */
+    void
+    forget(const Line &line, std::size_t set)
+    {
+        if (!line.valid)
+            return;
+        const std::uint64_t id = (line.tag << setShift_) | set;
+        MemoSlot &slot = memo_[memoSlot(id)];
+        if (slot.lineId == id)
+            slot.lineId = noLine;
     }
 
     /** A write to resident @p line: dirty it, stamp it with @p stamp
@@ -231,16 +251,35 @@ class Cache
     std::uint64_t setMask_ = 0;
     std::vector<Line> lines_;   //!< numSets_ * assoc, set-major
     /**
-     * Last line resolved by access(): consecutive accesses to one
-     * line (instruction fetch, stack traffic) skip the way scan, and
-     * tryReadHit() skips the call.  mruLineId_ is noLine whenever
-     * mruLine_ may no longer hold it (see mruHit()), so hit/miss
-     * counts, LRU order, and pin state are bit-identical with or
-     * without the memo.  lines_ never reallocates after construction.
+     * Line memo, direct-mapped on a hash of the line id (memoSlot()):
+     * each slot names one line id and the way holding it, so repeated
+     * accesses to a few lines (instruction fetch across a loop body,
+     * stack traffic) skip the way scan, and tryReadHit() and
+     * tryWriteHit() skip the call.  Invariant: a slot whose lineId is
+     * not noLine points at the valid way holding that line.  access()
+     * writes the slot of the line it resolves; a way stops holding its
+     * line only when access() or fill() takes it as a victim (both
+     * forget() it first) or in invalidateAll() (clears every slot).
+     * So hit/miss counts, LRU order and pin state are bit-identical
+     * with or without the memo.  lines_ never reallocates after
+     * construction.
      */
     static constexpr std::uint64_t noLine = ~std::uint64_t(0);
-    std::uint64_t mruLineId_ = noLine;
-    Line *mruLine_ = nullptr;
+    static constexpr unsigned memoBits = 4;
+    static constexpr std::size_t memoSlots = std::size_t(1) << memoBits;
+    /** The slot of line @p line_id: the top bits of a Fibonacci hash,
+     *  so arrays a power of two apart (stream's) do not share one. */
+    static std::size_t
+    memoSlot(std::uint64_t line_id)
+    {
+        return (line_id * 0x9e3779b97f4a7c15ULL) >> (64 - memoBits);
+    }
+    struct MemoSlot
+    {
+        std::uint64_t lineId = noLine;
+        Line *line = nullptr;
+    };
+    std::array<MemoSlot, memoSlots> memo_{};
     /**
      * Indices into lines_ of exactly the lines with pinSeg != noPin,
      * so unpinning walks the pins, not the cache.  A pinned line is

@@ -71,24 +71,29 @@ class CacheHierarchy
                    Dram *shared_dram);
 
     /**
-     * Fetch-side access; returns the completion tick.  Sequential
-     * code almost always hits the line the previous fetch used, so
-     * that case is inline (Cache::tryReadHit); the rest is
+     * Fetch-side access; returns the completion tick.  A hit on a
+     * memoized L1I line is inline (Cache::tryReadHit); the rest is
      * instFetchSlow().
      */
     Tick
     instFetch(Addr pc, Tick now)
     {
         if (l1i_.tryReadHit(pc, now))
-            return now + cycles(l1i_.hitCycles());
+            return instFetchHit(now);
         return instFetchSlow(pc, now);
     }
 
+    /** Completion tick of an L1I hit that starts at @p now. */
+    Tick
+    instFetchHit(Tick now) const
+    {
+        return now + cycles(l1i_.hitCycles());
+    }
+
     /**
-     * Data-side access at @p now.  An access to the line the L1D
-     * resolved last is inline (Cache::tryReadHit, Cache::tryWriteHit);
-     * the rest is dataAccessSlow(), which gives the same result for
-     * that hit.
+     * Data-side access at @p now.  A hit on a memoized L1D line is
+     * inline (Cache::tryReadHit, Cache::tryWriteHit); the rest is
+     * dataAccessSlow(), which gives the same result for that hit.
      * @param pc the accessing instruction (feeds the L2 prefetcher)
      * @param pin_seg segment to pin a written line under (noPin for
      *        fault-intolerant/detection-only runs)
@@ -111,7 +116,7 @@ class CacheHierarchy
         return dataAccessSlow(addr, pc, is_write, now, pin_seg, stamp);
     }
 
-    /** dataAccess() without the inline same-line hit: the full L1D
+    /** dataAccess() without the inline memoized hit: the full L1D
      *  lookup, and on a miss the L2, DRAM and prefetcher. */
     DataAccessResult dataAccessSlow(Addr addr, Addr pc, bool is_write,
                                     Tick now,
@@ -148,7 +153,7 @@ class CacheHierarchy
   private:
     Tick cycles(unsigned n) const { return clock_.cyclesToTicks(n); }
 
-    /** instFetch() past the same-line hit: the full L1I lookup. */
+    /** instFetch() past the memoized hit: the full L1I lookup. */
     Tick instFetchSlow(Addr pc, Tick now);
 
     /** L2 lookup shared by both sides; returns completion tick. */

@@ -12,7 +12,9 @@
 #define PARADOX_MEM_MEMORY_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -26,14 +28,49 @@ namespace mem
 {
 
 /** Sparse, page-granular byte-addressable memory. */
-class SimpleMemory : public isa::MemIf
+class SimpleMemory final : public isa::MemIf
 {
   public:
     static constexpr std::size_t pageBytes = 4096;
 
-    std::uint64_t read(Addr addr, unsigned size) override;
-    std::uint64_t write(Addr addr, unsigned size,
-                        std::uint64_t value) override;
+    /**
+     * Pages below this number are found through a direct table (grown
+     * to the highest one touched); sparse pages above it through a
+     * hash map.  The workloads touch pages 0x7f-0x600.
+     */
+    static constexpr Addr tablePages = Addr(1) << 16;
+
+    /** Inline for an access inside one resident table page; the rest
+     *  (absent or high pages, page crossings, bad sizes) is
+     *  readSlow().  Force-inlined: runDecoded's load handlers are its
+     *  hot callers. */
+    [[gnu::always_inline]] std::uint64_t
+    read(Addr addr, unsigned size) override
+    {
+        const std::size_t off = addr % pageBytes;
+        if (Page *page = tablePage(addr);
+            page && size - 1 < 8 && off + size <= pageBytes) {
+            std::uint64_t v = 0;
+            std::memcpy(&v, page->data() + off, size);
+            return v;
+        }
+        return readSlow(addr, size);
+    }
+
+    /** Inline like read(); the rest is writeSlow(). */
+    [[gnu::always_inline]] std::uint64_t
+    write(Addr addr, unsigned size, std::uint64_t value) override
+    {
+        const std::size_t off = addr % pageBytes;
+        if (Page *page = tablePage(addr);
+            page && size - 1 < 8 && off + size <= pageBytes) {
+            std::uint64_t old = 0;
+            std::memcpy(&old, page->data() + off, size);
+            std::memcpy(page->data() + off, &value, size);
+            return old;
+        }
+        return writeSlow(addr, size, value);
+    }
 
     /** Read one byte (materializing nothing on absent pages). */
     std::uint8_t readByte(Addr addr) const;
@@ -56,28 +93,33 @@ class SimpleMemory : public isa::MemIf
     std::uint64_t fingerprint() const;
 
     /** Number of materialized pages (for capacity diagnostics). */
-    std::size_t pageCount() const { return pages_.size(); }
+    std::size_t pageCount() const { return pageCount_; }
 
   private:
     using Page = std::array<std::uint8_t, pageBytes>;
 
+    // The inline paths copy values as host words.
+    static_assert(std::endian::native == std::endian::little);
+
+    /** The resident table page holding @p addr, else null. */
+    [[gnu::always_inline]] Page *
+    tablePage(Addr addr) const
+    {
+        const Addr num = addr / pageBytes;
+        return num < table_.size() ? table_[num].get() : nullptr;
+    }
+
+    std::uint64_t readSlow(Addr addr, unsigned size) const;
+    std::uint64_t writeSlow(Addr addr, unsigned size, std::uint64_t value);
+
     Page *findPage(Addr addr) const;
     Page &touchPage(Addr addr);
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
-
-    /**
-     * Memo of the last page looked up.  Accesses are strongly
-     * page-local (the commit loop hammers the stack and a few data
-     * pages), so this turns the per-access hash lookup into a single
-     * compare.  Page storage is node-stable (unique_ptr in a node
-     * map) and pages are never deallocated, so a cached pointer can
-     * only go stale one way: a page materializing after a null was
-     * memoized -- touchPage trusts only a non-null memo and refreshes
-     * it to cover that.
-     */
-    mutable Addr lastPageNum_ = ~Addr(0);
-    mutable Page *lastPage_ = nullptr;
+    /** Pages below tablePages, indexed by page number. */
+    std::vector<std::unique_ptr<Page>> table_;
+    /** Pages at or above tablePages, by page number. */
+    std::unordered_map<Addr, std::unique_ptr<Page>> high_;
+    std::size_t pageCount_ = 0;
 };
 
 } // namespace mem

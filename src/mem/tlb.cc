@@ -37,8 +37,7 @@ Tlb::translateSlow(Addr vaddr)
         if (set[w].valid && set[w].vpn == vpn) {
             set[w].lastUsed = clock_;
             ++hits_;
-            mru_ = &set[w];
-            mruVpn_ = vpn;
+            memo_[memoSlot(vpn)] = MemoSlot{vpn, &set[w]};
             return result;
         }
     }
@@ -56,11 +55,15 @@ Tlb::translateSlow(Addr vaddr)
         if (set[w].lastUsed < victim->lastUsed)
             victim = &set[w];
     }
+    if (victim->valid) {
+        MemoSlot &old = memo_[memoSlot(victim->vpn)];
+        if (old.vpn == victim->vpn)
+            old.vpn = noVpn;
+    }
     victim->valid = true;
     victim->vpn = vpn;
     victim->lastUsed = clock_;
-    mru_ = victim;
-    mruVpn_ = vpn;
+    memo_[memoSlot(vpn)] = MemoSlot{vpn, victim};
     return result;
 }
 
@@ -69,7 +72,19 @@ Tlb::flush()
 {
     for (auto &entry : entries_)
         entry.valid = false;
-    mruVpn_ = noVpn;
+    memo_ = {};
+}
+
+void
+Tlb::repeatHits(Addr vaddr, std::uint64_t n)
+{
+    const std::uint64_t vpn = vaddr >> pageShift_;
+    const MemoSlot &slot = memo_[memoSlot(vpn)];
+    if (slot.vpn != vpn)
+        panic("Tlb: repeated hits on a page that is not memoized");
+    clock_ += n;
+    hits_ += n;
+    slot.entry->lastUsed = clock_;
 }
 
 } // namespace mem

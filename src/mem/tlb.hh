@@ -22,6 +22,7 @@
 #ifndef PARADOX_MEM_TLB_HH
 #define PARADOX_MEM_TLB_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -60,20 +61,30 @@ class Tlb
 
     /**
      * Translate @p vaddr, updating TLB state and statistics.  A hit
-     * on the most recently used page is inline; every other case
+     * on a memoized page (see memo_) is inline; every other case
      * (another way of the set, a miss and its walk) is
      * translateSlow().
      */
     Translation
     translate(Addr vaddr)
     {
-        if ((vaddr >> pageShift_) == mruVpn_) {
-            mru_->lastUsed = ++clock_;
+        const std::uint64_t vpn = vaddr >> pageShift_;
+        const MemoSlot &slot = memo_[memoSlot(vpn)];
+        if (slot.vpn == vpn) {
+            slot.entry->lastUsed = ++clock_;
             ++hits_;
             return Translation{vaddr + base_, true, 0};
         }
         return translateSlow(vaddr);
     }
+
+    /**
+     * Account @p n hits on the page of @p vaddr that the caller served
+     * without calling in: exactly @p n translate(@p vaddr) calls.  The
+     * page must be memoized, i.e. the caller's last translate() was on
+     * that page.
+     */
+    void repeatHits(Addr vaddr, std::uint64_t n);
 
     /** Translation without timing side effects (rollback path). */
     Addr physical(Addr vaddr) const { return vaddr + base_; }
@@ -114,18 +125,33 @@ class Tlb
     std::size_t sets_;
     std::vector<Entry> entries_;
     /**
-     * Most-recently-hit entry and the page it holds: consecutive
-     * accesses to one page are the overwhelmingly common case, so
-     * translate() compares the page against mruVpn_ inline.
-     * translateSlow() rewrites an entry only to make it the MRU one
-     * and sets both fields together, and flush() clears mruVpn_; so
-     * the compare is exactly the set scan's hit condition for that
-     * page (same hit/miss counts, same LRU stamps).  entries_ never
-     * reallocates after construction.
+     * Page memo, direct-mapped on a hash of the vpn (memoSlot()):
+     * each slot names one page and the entry holding it, so
+     * translate() serves repeated hits on a few pages with one
+     * compare.  Invariant: a
+     * slot whose vpn is not noVpn points at the valid entry holding
+     * that page.  translateSlow() writes the slot of the page it
+     * resolves and clears the victim's slot before a refill; flush()
+     * clears every slot.  So the compare is exactly the set scan's
+     * hit condition (same hit/miss counts, same LRU stamps).
+     * entries_ never reallocates after construction.
      */
     static constexpr std::uint64_t noVpn = ~std::uint64_t(0);
-    Entry *mru_ = nullptr;
-    std::uint64_t mruVpn_ = noVpn;
+    static constexpr unsigned memoBits = 4;
+    static constexpr std::size_t memoSlots = std::size_t(1) << memoBits;
+    /** The slot of page @p vpn: the top bits of a Fibonacci hash, as
+     *  Cache::memoSlot(), so pages 16 apart do not share one. */
+    static std::size_t
+    memoSlot(std::uint64_t vpn)
+    {
+        return (vpn * 0x9e3779b97f4a7c15ULL) >> (64 - memoBits);
+    }
+    struct MemoSlot
+    {
+        std::uint64_t vpn = noVpn;
+        Entry *entry = nullptr;
+    };
+    std::array<MemoSlot, memoSlots> memo_{};
     unsigned pageShift_ = 0;    //!< log2(pageBytes), checked in ctor
     std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;

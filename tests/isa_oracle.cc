@@ -211,9 +211,9 @@ step(const Program &prog, ArchState &state, MemIf &mem)
         next_pc = (a + std::uint64_t(imm)) & ~Addr(instBytes - 1);
         break;
 
-      case Opcode::FADD: writeF(fa + fb); break;
+      case Opcode::FADD: writeF(fpNanFirst(fa + fb, fa, fb)); break;
       case Opcode::FSUB: writeF(fa - fb); break;
-      case Opcode::FMUL: writeF(fa * fb); break;
+      case Opcode::FMUL: writeF(fpNanFirst(fa * fb, fa, fb)); break;
       case Opcode::FDIV:
         if (fb == 0.0)
             state.orFflags(ArchState::flagDivZero);
@@ -228,10 +228,13 @@ step(const Program &prog, ArchState &state, MemIf &mem)
       case Opcode::FMAX: writeF(fpMax(fa, fb)); break;
       case Opcode::FNEG: writeF(-fa); break;
       case Opcode::FABS: writeF(std::fabs(fa)); break;
-      case Opcode::FMADD:
+      case Opcode::FMADD: {
         // rd <- rs1 * rs2 + rd (rd doubles as accumulator source).
-        writeF(fa * fb + state.readF(inst->rd));
+        const double p = fpNanFirst(fa * fb, fa, fb);
+        const double c = state.readF(inst->rd);
+        writeF(fpNanFirst(p + c, p, c));
         break;
+      }
       case Opcode::FCVT_D_L:
         writeF(static_cast<double>(asSigned(a)));
         break;

@@ -845,7 +845,7 @@ TEST(Fixpoint, RandomizedCfgsAlwaysConverge)
             b.ldi(XReg{std::uint8_t(r)}, std::int64_t(rnd(1000)));
         auto reg = [&] { return XReg{std::uint8_t(1 + rnd(6))}; };
         for (std::size_t i = 0; i < nb; ++i) {
-            b.label("b" + std::to_string(i));
+            b.label(std::string("b").append(std::to_string(i)));
             const std::size_t ops = 1 + rnd(3);
             for (std::size_t k = 0; k < ops; ++k) {
                 switch (rnd(5)) {
@@ -860,7 +860,8 @@ TEST(Fixpoint, RandomizedCfgsAlwaysConverge)
             if (i + 1 == nb) {
                 b.halt();
             } else {
-                const std::string t = "b" + std::to_string(rnd(nb));
+                const std::string t =
+                    std::string("b").append(std::to_string(rnd(nb)));
                 if (rnd(3) == 0)
                     b.j(t);
                 else

@@ -248,8 +248,17 @@ TEST_P(FpOpDifferential, SignedZeroAndNanOperands)
             if (op != Opcode::FMIN && op != Opcode::FMAX &&
                 std::isnan(want)) {
                 // Arithmetic NaN payloads are the host's; the engines
-                // agreeing (runFpOp) is the contract there.
+                // agreeing (runFpOp) is the contract there.  FADD and
+                // FMUL, which the compiler may commute, propagate the
+                // first NaN operand, quieted (fpNanFirst).
                 EXPECT_TRUE(std::isnan(std::bit_cast<double>(got)));
+                if ((op == Opcode::FADD || op == Opcode::FMUL) &&
+                    (std::isnan(a) || std::isnan(b))) {
+                    EXPECT_EQ(got, std::bit_cast<std::uint64_t>(
+                                       std::isnan(a) ? a : b) |
+                                       0x0008000000000000ULL)
+                        << mnemonic(op) << " a=" << a << " b=" << b;
+                }
                 continue;
             }
             EXPECT_EQ(got, std::bit_cast<std::uint64_t>(want))

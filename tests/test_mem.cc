@@ -84,66 +84,114 @@ TEST(SimpleMemory, BlockCopyRoundTrip)
     EXPECT_EQ(std::memcmp(in, out, 64), 0);
 }
 
-TEST(SimpleMemory, PageMemoIsExact)
+/**
+ * 20k random reads and writes of 1-8 bytes (any size, not only powers
+ * of two), byte and block accesses against a byte-map model: in the
+ * page table's range, across page boundaries (the table's last page
+ * into the hash-mapped pages above it included) and far beyond the
+ * table.  Reads of absent pages materialize nothing; the page count,
+ * readBlock() and fingerprint() (also of a memory rebuilt from the
+ * model in another order) agree with the model.
+ */
+TEST(SimpleMemory, MatchesByteMapReference)
 {
     // Byte-map model: page number -> page bytes, one entry per page a
     // write has touched.
     constexpr Addr page = SimpleMemory::pageBytes;
     std::map<Addr, std::array<std::uint8_t, page>> model;
     SimpleMemory memory;
-    auto write = [&](Addr addr, unsigned size, std::uint64_t value) {
-        memory.write(addr, size, value);
-        for (unsigned i = 0; i < size; ++i)
-            model[(addr + i) / page][(addr + i) % page] =
-                std::uint8_t(value >> (8 * i));
+    auto modelWrite = [&](Addr addr, std::uint8_t byte) {
+        model[addr / page][addr % page] = byte;
     };
     auto modelByte = [&](Addr addr) -> std::uint8_t {
         auto it = model.find(addr / page);
         return it == model.end() ? 0 : it->second[addr % page];
     };
+    auto modelRead = [&](Addr addr, unsigned size) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < size; ++i)
+            v |= std::uint64_t(modelByte(addr + i)) << (8 * i);
+        return v;
+    };
 
-    const Addr a = 7 * page, b = 9 * page;
-    // An absent page memoizes null; the write that follows must
-    // materialize it rather than trust the memo.
+    // An absent page reads zero and stays absent; the write that
+    // follows materializes it.
+    const Addr a = 0x107 * page;
     EXPECT_EQ(memory.read(a + 8, 8), 0u);
-    write(a + 8, 8, 0x0102030405060708ULL);
+    EXPECT_EQ(memory.pageCount(), 0u);
+    EXPECT_EQ(memory.write(a + 8, 8, 0x0102030405060708ULL), 0u);
+    for (unsigned i = 0; i < 8; ++i)
+        modelWrite(a + 8 + i, std::uint8_t(0x08 - i));
     EXPECT_EQ(memory.read(a + 8, 8), 0x0102030405060708ULL);
-    // The same again through the byte path.
-    EXPECT_EQ(memory.readByte(b + 1), 0u);
-    memory.writeByte(b + 1, 0x5a);
-    model[b / page][1] = 0x5a;
-    // Across a page boundary, into a page not yet touched.
-    write(a + page - 3, 8, 0x1122334455667788ULL);
-    // Two pages interleaved, every access switching the memo.
-    Rng rng(3);
-    for (unsigned k = 0; k < 512; ++k) {
-        const Addr base = k % 2 ? b : a;
-        const unsigned size = 1u << rng.nextBounded(4);
-        const Addr addr = base + rng.nextBounded(page - size + 1);
-        if (rng.nextBounded(3) == 0) {
-            std::uint64_t v = 0;
-            for (unsigned i = 0; i < size; ++i)
-                v |= std::uint64_t(modelByte(addr + i)) << (8 * i);
-            EXPECT_EQ(memory.read(addr, size), v);
+
+    // Regions: the workloads' pages, the table's top page and the
+    // first hash-mapped page after it, and pages far above the table.
+    const Addr top = SimpleMemory::tablePages * page;
+    const std::array<Addr, 4> bases = {0x100 * page, top - 2 * page,
+                                       top + 64 * page,
+                                       Addr(1) << 40};
+    Rng rng(5);
+    std::vector<std::uint8_t> block, want;
+    unsigned crossings = 0;
+    for (int i = 0; i < 20000; ++i) {
+        SCOPED_TRACE(i);
+        const Addr base = bases[rng.nextBounded(bases.size())];
+        const unsigned size = 1 + unsigned(rng.nextBounded(8));
+        // Half the accesses end at most 8 bytes past a page boundary.
+        const Addr addr =
+            rng.nextBounded(2)
+                ? base + rng.nextBounded(3 * page)
+                : base + page * (1 + rng.nextBounded(2)) -
+                      rng.nextBounded(8);
+        crossings += addr / page != (addr + size - 1) / page;
+        const unsigned op = unsigned(rng.nextBounded(100));
+        if (op < 40) {
+            ASSERT_EQ(memory.read(addr, size), modelRead(addr, size));
+        } else if (op < 85) {
+            const std::uint64_t value = rng.next();
+            ASSERT_EQ(memory.write(addr, size, value),
+                      modelRead(addr, size));
+            for (unsigned k = 0; k < size; ++k)
+                modelWrite(addr + k, std::uint8_t(value >> (8 * k)));
+        } else if (op < 90) {
+            ASSERT_EQ(memory.readByte(addr), modelByte(addr));
+        } else if (op < 93) {
+            const std::uint8_t byte = std::uint8_t(rng.next());
+            memory.writeByte(addr, byte);
+            modelWrite(addr, byte);
+        } else if (op < 97) {
+            const std::size_t n = 1 + rng.nextBounded(2 * page);
+            block.assign(n, 0xee);
+            want.resize(n);
+            memory.readBlock(addr, block.data(), n);
+            for (std::size_t k = 0; k < n; ++k)
+                want[k] = modelByte(addr + k);
+            ASSERT_EQ(block, want);
         } else {
-            write(addr, size, rng.next());
+            const std::size_t n = 1 + rng.nextBounded(page + 64);
+            block.resize(n);
+            for (std::uint8_t &byte : block)
+                byte = std::uint8_t(rng.next());
+            memory.writeBlock(addr, block.data(), n);
+            for (std::size_t k = 0; k < n; ++k)
+                modelWrite(addr + k, block[k]);
         }
     }
-
-    for (const Addr p : {a - page, a, a + page, a + 2 * page, b})
-        for (Addr addr = p; addr < p + page; ++addr)
-            ASSERT_EQ(memory.readByte(addr), modelByte(addr))
-                << "byte 0x" << std::hex << addr;
+    EXPECT_GT(crossings, 2000u);
     EXPECT_EQ(memory.pageCount(), model.size());
+    for (const auto &[num, bytes] : model)
+        for (Addr off = 0; off < page; ++off)
+            ASSERT_EQ(memory.readByte(num * page + off), bytes[off])
+                << "byte 0x" << std::hex << num * page + off;
 
     // fingerprint(): FNV over each non-zero page's 64-bit words,
     // seeded with the page number, summed.
     std::uint64_t expected = 0;
     for (const auto &[num, bytes] : model) {
         std::uint64_t h = 0xcbf29ce484222325ULL ^ num, nonZero = 0;
-        for (std::size_t i = 0; i < page; i += 8) {
+        for (std::size_t k = 0; k < page; k += 8) {
             std::uint64_t word;
-            std::memcpy(&word, bytes.data() + i, 8);
+            std::memcpy(&word, bytes.data() + k, 8);
             nonZero |= word;
             h = (h ^ word) * 0x100000001b3ULL;
         }
@@ -151,6 +199,13 @@ TEST(SimpleMemory, PageMemoIsExact)
             expected += h;
     }
     EXPECT_EQ(memory.fingerprint(), expected);
+    // The same content written page by page, highest first, plus a
+    // materialized all-zero page, fingerprints the same.
+    SimpleMemory rebuilt;
+    for (auto it = model.rbegin(); it != model.rend(); ++it)
+        rebuilt.writeBlock(it->first * page, it->second.data(), page);
+    rebuilt.write(0x90 * page, 8, 0);
+    EXPECT_EQ(rebuilt.fingerprint(), expected);
 }
 
 CacheParams
@@ -759,20 +814,39 @@ TEST(CacheFastPath, InlineHitStampDecidesVictim)
     EXPECT_EQ(cache.hits(), 2u);
 }
 
-TEST(CacheFastPath, InlineHitOnlyOnTheLastLineAndNeverAfterInvalidate)
+/**
+ * The memo contract: every resident line access() resolved last in its
+ * memo slot hits inline, not only the last line, with access()'s
+ * effects (++hits, the LRU stamp); a line evicted, displaced from its
+ * slot or invalidated does not, and then changes nothing.
+ */
+TEST(CacheFastPath, InlineHitOnMemoizedResidentLinesOnly)
 {
-    Cache cache(tinyCache());
+    Cache cache(tinyCache());  // 4 sets x 4 ways: set 0 is 0x000, 0x100..
     EXPECT_FALSE(cache.tryReadHit(0x000, 1));  // cold: no side effects
     EXPECT_EQ(cache.hits() + cache.misses(), 0u);
     EXPECT_FALSE(cache.contains(0x000));
-    cache.access(0x000, false, 1);
-    cache.access(0x040, false, 2);
-    EXPECT_FALSE(cache.tryReadHit(0x000, 3));  // resident, not last
-    EXPECT_TRUE(cache.tryReadHit(0x07f, 3));
+    // Lines 0, 4, 8 and 12 fill set 0, in memo slots 0, 7, 15 and 6.
+    for (Addr a : {0x000, 0x100, 0x200, 0x300})
+        cache.access(a, false, 1 + a / 0x100);
+    EXPECT_TRUE(cache.tryReadHit(0x008, 5));  // resident, not the last
+    EXPECT_TRUE(cache.tryReadHit(0x13f, 6));
+    EXPECT_TRUE(cache.tryReadHit(0x200, 7));
+    EXPECT_TRUE(cache.tryReadHit(0x300, 8));
+    // 0x000 is now the least recently used: line 72 (slot 7) evicts
+    // it, and takes 0x100's slot.
+    EXPECT_EQ(cache.access(0x1200, false, 9).outcome, CacheOutcome::Miss);
+    EXPECT_FALSE(cache.contains(0x000));
+    EXPECT_FALSE(cache.tryReadHit(0x000, 10));  // evicted: slot cleared
+    EXPECT_TRUE(cache.contains(0x100));
+    EXPECT_FALSE(cache.tryReadHit(0x100, 10));  // resident, slot taken
+    EXPECT_EQ(cache.access(0x100, false, 10).outcome, CacheOutcome::Hit);
+    EXPECT_TRUE(cache.tryReadHit(0x100, 11));
     cache.invalidateAll();
-    EXPECT_FALSE(cache.tryReadHit(0x040, 4));
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 2u);
+    for (Addr a : {0x100, 0x200, 0x300, 0x1200})
+        EXPECT_FALSE(cache.tryReadHit(a, 12));
+    EXPECT_EQ(cache.hits(), 6u);
+    EXPECT_EQ(cache.misses(), 5u);
 }
 
 /**
@@ -802,6 +876,109 @@ TEST(CacheFastPath, PrefetchFillEvictingTheLastLineEndsItsInlineHit)
     evictLastLineByPrefetch(twin);
     EXPECT_EQ(twin.access(0x008, false, 11).outcome, CacheOutcome::Miss);
     EXPECT_EQ(cache.hits() + twin.hits(), 0u);
+}
+
+/**
+ * The line memo against the scan-only PinScanCache over a stream that
+ * cycles through more lines than the memo has slots (a drifting hot
+ * set of 40 lines, 32 resident at most, 16 memo slots): reads and
+ * writes try the inline hit first, repeated hits go through
+ * repeatReadHits(), and pinned writes, verify and rollback unpins,
+ * prefetch fill()s and invalidateAll() interleave.  Hits, misses,
+ * evictions, pins and the resident lines agree after every step; as
+ * each step evicts at most one line, equal resident sets mean the
+ * same victim every time.
+ */
+TEST(CacheFastPath, MemoMatchesScanReferenceOverManyLines)
+{
+    CacheParams params = tinyCache(true);
+    params.sizeBytes = 2048;  // 8 sets x 4 ways
+    Cache cache(params);
+    PinScanCache ref(8, 4);
+    Rng rng(29);
+    std::vector<Addr> pool;  // 256 lines, 32 per set
+    for (Addr a = 0; a < 0x4000; a += 0x40)
+        pool.push_back(a);
+    std::vector<Addr> hot(40);
+    for (Addr &line : hot)
+        line = pool[rng.nextBounded(pool.size())];
+    std::uint64_t seg = 1;
+    Tick now = 100;
+    Addr last = 0;
+    bool last_resolved = false;  // the last op resolved line `last`
+    unsigned inline_hits = 0, repeats = 0;
+
+    for (int i = 0; i < 40000; ++i) {
+        SCOPED_TRACE(i);
+        now += 1 + rng.nextBounded(3);
+        const Tick t = now - rng.nextBounded(2);
+        if (rng.nextBounded(40) == 0)
+            hot[rng.nextBounded(hot.size())] =
+                pool[rng.nextBounded(pool.size())];
+        const Addr a = hot[rng.nextBounded(hot.size())] +
+                       8 * rng.nextBounded(8);
+        const unsigned op = unsigned(rng.nextBounded(1000));
+        bool resolved = false;
+        if (op < 550) {
+            CacheOutcome outcome = CacheOutcome::Hit;
+            if (cache.tryReadHit(a, t))
+                ++inline_hits;
+            else
+                outcome = cache.access(a, false, t).outcome;
+            ASSERT_EQ(outcome, ref.access(a, false, t, noPin));
+            resolved = outcome != CacheOutcome::BlockedPinned;
+        } else if (op < 800) {
+            const std::uint64_t pin = rng.nextBounded(2) ? seg : noPin;
+            bool matched = false;
+            CacheOutcome outcome;
+            if (cache.tryWriteHit(a, t, pin, seg, matched)) {
+                ++inline_hits;
+                outcome = CacheOutcome::Hit;
+            } else {
+                outcome = cache.access(a, true, t, pin, seg).outcome;
+            }
+            ASSERT_EQ(outcome, ref.access(a, true, t, pin));
+            resolved = outcome != CacheOutcome::BlockedPinned;
+        } else if (op < 850) {
+            if (last_resolved) {
+                const unsigned n = 1 + unsigned(rng.nextBounded(5));
+                cache.repeatReadHits(last, n, t);
+                for (unsigned k = 0; k < n; ++k)
+                    ASSERT_EQ(ref.access(last, false, t, noPin),
+                              CacheOutcome::Hit);
+                ++repeats;
+            }
+            resolved = last_resolved;
+        } else if (op < 920) {
+            cache.unpinUpTo(seg);
+            ref.unpinUpTo(seg);
+            ++seg;
+        } else if (op < 930) {
+            cache.unpinFrom(seg);
+            ref.unpinFrom(seg);
+            ++seg;
+        } else if (op < 995) {
+            cache.fill(a, t);
+            ref.fill(a, t);
+        } else {
+            cache.invalidateAll();
+            ref.invalidateAll();
+        }
+        if (op < 800)
+            last = a;
+        last_resolved = resolved;
+        ASSERT_EQ(cache.hits(), ref.hits);
+        ASSERT_EQ(cache.misses(), ref.misses);
+        ASSERT_EQ(cache.evictions(), ref.evictions);
+        ASSERT_EQ(cache.pinnedBlocks(), ref.blocked);
+        ASSERT_EQ(cache.pinnedLineCount(), ref.pinnedLines());
+        for (Addr l : pool)
+            ASSERT_EQ(cache.contains(l), ref.contains(l)) << l;
+    }
+    EXPECT_GT(inline_hits, 10000u);
+    EXPECT_GT(repeats, 1000u);
+    EXPECT_GT(ref.evictions, 3000u);
+    EXPECT_GT(ref.blocked, 0u);
 }
 
 /**
@@ -879,6 +1056,66 @@ TEST(TlbFastPath, MatchesScanOnlyReferenceOverMultiPageStream)
     EXPECT_EQ(tlb.hits(), hits);
     EXPECT_EQ(tlb.misses(), misses);
     EXPECT_GT(misses, 1000u);
+}
+
+/**
+ * The page memo against the scan-only ReferenceTlb over a drifting hot
+ * set of 96 pages, more than the TLB holds.  Four sets under 16 memo
+ * slots, so a refill's victim and the new page can use different
+ * slots and the victim's must be cleared.  Every translate() agrees
+ * on hit or miss (so on every victim), repeatHits() counts as that
+ * many hits on the page last translated, and flush() empties both.
+ */
+TEST(TlbFastPath, MemoMatchesScanReferenceWithRepeatsAndFlush)
+{
+    TlbParams params;
+    params.entries = 16;  // 4 sets x 4 ways
+    Tlb tlb(params, 0x40000000);
+    ReferenceTlb ref(params.entries, params.assoc, 12);
+    Rng rng(17);
+    std::vector<Addr> hot(96);
+    for (Addr &vpn : hot)
+        vpn = rng.nextBounded(512);
+    Addr last = 0;
+    bool last_valid = false;  // no flush since `last` was translated
+    std::uint64_t hits = 0, misses = 0;
+    for (int i = 0; i < 40000; ++i) {
+        SCOPED_TRACE(i);
+        if (rng.nextBounded(30) == 0)
+            hot[rng.nextBounded(hot.size())] = rng.nextBounded(512);
+        const unsigned op = unsigned(rng.nextBounded(100));
+        if (op < 85) {
+            // Mostly a page of the first 12 hot ones, else any.
+            const std::size_t k = rng.nextBounded(4)
+                                      ? rng.nextBounded(12)
+                                      : rng.nextBounded(hot.size());
+            const Addr va = (hot[k] << 12) + rng.nextBounded(4096);
+            const Translation t = tlb.translate(va);
+            const bool hit = ref.translate(va);
+            ASSERT_EQ(t.tlbHit, hit);
+            ASSERT_EQ(t.paddr, va + 0x40000000);
+            ASSERT_EQ(t.extraCycles, hit ? 0u : params.walkCycles);
+            (hit ? hits : misses) += 1;
+            last = va;
+            last_valid = true;
+        } else if (op < 99) {
+            if (last_valid) {
+                const unsigned n = 1 + unsigned(rng.nextBounded(6));
+                tlb.repeatHits(last, n);
+                for (unsigned r = 0; r < n; ++r)
+                    ASSERT_TRUE(ref.translate(last));
+                hits += n;
+            }
+        } else {
+            tlb.flush();
+            ref.flush();
+            last_valid = false;
+        }
+        ASSERT_EQ(tlb.hits(), hits);
+        ASSERT_EQ(tlb.misses(), misses);
+    }
+    EXPECT_GT(misses, 2000u);
+    EXPECT_GT(hits, 20000u);
 }
 
 /**

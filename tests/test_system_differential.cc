@@ -17,6 +17,7 @@
 
 #include "core/system.hh"
 #include "exp/runner.hh"
+#include "mem/cache.hh"
 #include "sim_scenarios.hh"
 #include "workloads/workload.hh"
 
@@ -94,6 +95,101 @@ TEST_P(SystemDifferential, BatchesOfOneAgreeOnEveryWorkload)
         SCOPED_TRACE(names[w] + " / " + scenario.name);
         EXPECT_EQ(digests[2 * w], digests[2 * w + 1]);
     }
+}
+
+/** The mem.itlb.* and mem.l1i.* lines of @p system's registry dump:
+ *  the counters the per-line fetch (DESIGN §11) settles. */
+std::string
+fetchCounters(const core::System &system)
+{
+    std::ostringstream dump;
+    system.registry().dump(dump);
+    std::istringstream in(dump.str());
+    std::string line, out;
+    while (std::getline(in, line))
+        if (line.rfind("mem.itlb.", 0) == 0 || line.rfind("mem.l1i.", 0) == 0)
+            out += line + "\n";
+    return out;
+}
+
+double
+statValue(core::System &system, const std::string &name)
+{
+    const stats::Stat *stat = system.registry().find(name);
+    return stat ? stat->sampleValue() : -1.0;
+}
+
+/**
+ * Batches that stop mid-line settle their per-line fetch repeats
+ * exactly.  An L1I of 8 lines (line changes miss and evict, so the
+ * settled LRU stamps choose victims) and an L1D of 8 pinnable lines
+ * (pinned writes fill whole sets and stall, and the stall cuts the
+ * batch); stream and gobmk in ParaDox mode, batched and in batches of
+ * one, to instruction limits that land mid-line.  Both count one I-TLB
+ * and one L1I access per executed instruction, and the fetch counters,
+ * the whole record and the registry agree.  stream's stores stall on
+ * pins, gobmk's code evicts L1I lines.
+ */
+TEST(SystemDifferentialFetch, BatchesStoppingMidLineSettleExactly)
+{
+    double pinned_stalls = 0.0, l1i_evictions = 0.0;
+    for (const char *name : {"stream", "gobmk"}) {
+        exp::ExperimentSpec spec;
+        spec.workload = name;
+        spec.mode = core::Mode::ParaDox;
+        core::SystemConfig config = exp::buildConfig(spec);
+        config.hierarchy.l1i =
+            mem::CacheParams{"l1i", 512, 2, 64, 1, 6, false};
+        config.hierarchy.l1d =
+            mem::CacheParams{"l1d", 512, 2, 64, 2, 6, true};
+        const workloads::Workload w =
+            workloads::build(spec.workload, spec.scale);
+
+        for (const std::uint64_t limit : {20011u, 50006u, 90003u}) {
+            SCOPED_TRACE(std::string(name) + " to " +
+                         std::to_string(limit));
+            core::RunLimits limits;
+            limits.maxInstructions = limit;
+
+            core::System batched(config, w.program);
+            exp::armSystem(batched, spec, w.program);
+            const core::RunResult result = batched.run(limits);
+            ASSERT_EQ(result.instructions, limit);
+            // The next fetch is in the line of the last one.
+            EXPECT_NE(result.finalState.pc() % 64, 0u);
+            EXPECT_GT(statValue(batched, "main.sb_uops") /
+                          statValue(batched, "main.sb_batches"),
+                      16.0);
+            pinned_stalls += statValue(batched, "system.evictionCuts");
+            l1i_evictions += statValue(batched, "mem.l1i.evictions");
+
+            core::SharedUncore uncore = core::makeSharedUncore(config);
+            core::System one(config, w.program, &uncore);
+            exp::armSystem(one, spec, w.program);
+            const core::RunResult one_result = one.run(limits);
+
+            // One fetch per executed instruction, on either side: a
+            // repeat left unsettled would be missing from both.
+            for (core::System *sys : {&batched, &one})
+                for (const char *group : {"mem.itlb.", "mem.l1i."})
+                    EXPECT_EQ(statValue(*sys, std::string(group) + "hits") +
+                                  statValue(*sys,
+                                            std::string(group) + "misses"),
+                              double(result.executed))
+                        << group;
+            EXPECT_EQ(fetchCounters(batched), fetchCounters(one));
+            EXPECT_EQ(simDigest(spec,
+                                exp::summarizeRun(batched, result,
+                                                  w.expectedResult),
+                                registryJson(batched)),
+                      simDigest(spec,
+                                exp::summarizeRun(one, one_result,
+                                                  w.expectedResult),
+                                registryJson(one)));
+        }
+    }
+    EXPECT_GT(pinned_stalls, 100.0);
+    EXPECT_GT(l1i_evictions, 100.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
